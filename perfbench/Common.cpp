@@ -6,6 +6,9 @@
 
 #include "Common.h"
 
+#include "bench/BenchCommon.h"
+#include "tests/TestData.h"
+
 #include <atomic>
 #include <cstdio>
 #include <thread>
@@ -111,6 +114,10 @@ std::string ReqSpec::source() const {
   return Family; // raw LA text (the self-check's unparsable request)
 }
 
+bool knownFailure(const ReqSpec &Spec, const std::string &Code) {
+  return Spec.Family == "kf" && Spec.N == 28 && Code == "invalid-kernel-ir";
+}
+
 sl::Result<sl::Request> ReqSpec::request(bool WantObject) const {
   sl::RequestBuilder B;
   B.source(source()).name(Label).isa("avx").wantTiming(true).wantObject(
@@ -162,54 +169,9 @@ bool analyze(const std::string &Source, ProgramInfo &Info, std::string &Err) {
   for (const Operand *Op : Info.Prog->operands())
     if (!Op->IsTemp && Op->isWritable())
       Info.Params[Info.index(Op->root()->Name)].Written = true;
-  for (const EqStmt &S : Info.Prog->stmts())
-    Info.Flops += static_cast<double>(stmtFlops(S));
+  Info.Flops = bench::laFlops(Source);
   return true;
 }
-
-namespace {
-
-std::vector<double> general(int Rows, int Cols, Rng &R) {
-  std::vector<double> A(static_cast<size_t>(Rows) * Cols);
-  for (double &X : A)
-    X = R.uniform(-1.0, 1.0);
-  return A;
-}
-
-std::vector<double> spd(int N, Rng &R) {
-  std::vector<double> B = general(N, N, R);
-  std::vector<double> A(static_cast<size_t>(N) * N, 0.0);
-  for (int I = 0; I < N; ++I)
-    for (int J = 0; J < N; ++J) {
-      double Acc = I == J ? N : 0.0;
-      for (int P = 0; P < N; ++P)
-        Acc += B[P * N + I] * B[P * N + J];
-      A[I * N + J] = Acc;
-    }
-  return A;
-}
-
-std::vector<double> triangular(int N, bool Lower, Rng &R) {
-  std::vector<double> A(static_cast<size_t>(N) * N, 0.0);
-  for (int I = 0; I < N; ++I)
-    for (int J = 0; J < N; ++J) {
-      if (I == J)
-        A[I * N + J] = R.uniform(1.0, 2.0) + 2.0;
-      else if ((J < I) == Lower)
-        A[I * N + J] = R.uniform(-1.0, 1.0);
-    }
-  return A;
-}
-
-std::vector<double> symmetric(int N, Rng &R) {
-  std::vector<double> A(static_cast<size_t>(N) * N);
-  for (int I = 0; I < N; ++I)
-    for (int J = I; J < N; ++J)
-      A[I * N + J] = A[J * N + I] = R.uniform(-1.0, 1.0);
-  return A;
-}
-
-} // namespace
 
 std::vector<std::vector<double>> makeInputs(const ProgramInfo &Info, Rng &R) {
   std::vector<std::vector<double>> In;
@@ -217,16 +179,16 @@ std::vector<std::vector<double>> makeInputs(const ProgramInfo &Info, Rng &R) {
     if (!P.Input)
       In.emplace_back(P.size(), 0.0);
     else if (P.PosDef)
-      In.push_back(spd(P.Rows, R));
+      In.push_back(testdata::spd(P.Rows, R));
     else if (P.Structure == StructureKind::LowerTriangular)
-      In.push_back(triangular(P.Rows, /*Lower=*/true, R));
+      In.push_back(testdata::lowerTri(P.Rows, R));
     else if (P.Structure == StructureKind::UpperTriangular)
-      In.push_back(triangular(P.Rows, /*Lower=*/false, R));
+      In.push_back(testdata::upperTri(P.Rows, R));
     else if (P.Structure == StructureKind::SymmetricUpper ||
              P.Structure == StructureKind::SymmetricLower)
-      In.push_back(symmetric(P.Rows, R));
+      In.push_back(testdata::symmetric(P.Rows, R));
     else
-      In.push_back(general(P.Rows, P.Cols, R));
+      In.push_back(testdata::general(P.Rows, P.Cols, R));
   }
   return In;
 }

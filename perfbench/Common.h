@@ -98,21 +98,26 @@ inline double mean(const std::vector<double> &V) {
 
 /// Operations attempted and failed, with a count per failure class: the
 /// sl::Code name of an API failure, or "output-mismatch" /
-/// "artifact-mismatch" for a result the checker refused.
+/// "artifact-mismatch" for a result the checker refused. Known failures
+/// (see knownFailure) count like any other; every other failure makes the
+/// run incorrect.
 struct Tally {
   long Attempted = 0;
   long Failed = 0;
+  long Known = 0;
   std::map<std::string, long> ByCode;
 
   void ok() { ++Attempted; }
-  void fail(const std::string &Code) {
+  void fail(const std::string &Code, bool IsKnown = false) {
     ++Attempted;
     ++Failed;
+    Known += IsKnown;
     ++ByCode[Code];
   }
   void merge(const Tally &O) {
     Attempted += O.Attempted;
     Failed += O.Failed;
+    Known += O.Known;
     for (const auto &[C, N] : O.ByCode)
       ByCode[C] += N;
   }
@@ -191,6 +196,11 @@ struct ReqSpec {
 ReqSpec makeSpec(const std::string &Family, int N, int K = 0,
                  bool Batched = false, bool Measure = false, int Threads = 0);
 
+/// The failures the library is known to give on these requests: the Kalman
+/// filter with state 28 is rejected on avx as invalid-kernel-ir (the C-IR
+/// verifier finds an access outside F). They stay in the tally.
+bool knownFailure(const ReqSpec &Spec, const std::string &Code);
+
 const char *kindName(ReqKind K);
 
 //===----------------------------------------------------------------------===//
@@ -220,9 +230,10 @@ struct ProgramInfo {
 /// Parses \p Source; false (with \p Err) when it does not parse.
 bool analyze(const std::string &Source, ProgramInfo &Info, std::string &Err);
 
-/// Seeded instance data for every parameter: SPD for <PD>, dominant
-/// diagonals for triangular inputs, symmetric for symmetric ones, uniform
-/// otherwise, zeros for pure outputs.
+/// Seeded instance data for every parameter, from the test suites'
+/// generators (tests/TestData.h): SPD for <PD>, dominant diagonals for
+/// triangular inputs, symmetric for symmetric ones, uniform otherwise,
+/// zeros for pure outputs.
 std::vector<std::vector<double>> makeInputs(const ProgramInfo &Info, Rng &R);
 
 /// Reference outputs from the dense evaluator, one vector per parameter

@@ -125,25 +125,56 @@ std::vector<CcRun> readCcLog(const std::string &Path, size_t &Offset) {
 
 } // namespace
 
-bool checkServed(const ReqSpec &Spec, const sl::Kernel &K, uint64_t Seed) {
-  std::string Err;
-  if (Spec.Batched) {
-    BatchBench B;
-    B.Spec = Spec;
-    B.K = K;
-    return B.prepare(Seed, 4, Err) && B.check(3);
+ServedChecker::ServedChecker() = default;
+ServedChecker::~ServedChecker() = default;
+
+bool ServedChecker::prepare(const std::vector<ReqSpec> &Reqs, uint64_t Seed,
+                            std::string &Err) {
+  Singles.clear();
+  Batches.clear();
+  for (const ReqSpec &S : Reqs) {
+    if (S.Batched) {
+      auto B = std::make_unique<BatchBench>();
+      B->Spec = S;
+      if (!B->prepare(Seed, 4, Err))
+        return false;
+      Batches[S.Label] = std::move(B);
+    } else {
+      auto B = std::make_unique<SingleBench>();
+      B->Spec = S;
+      if (!B->prepare(Seed, Err))
+        return false;
+      Singles[S.Label] = std::move(B);
+    }
   }
-  SingleBench S;
-  S.Spec = Spec;
-  S.K = K;
-  return S.prepare(Seed, Err) && S.check();
+  return true;
+}
+
+bool ServedChecker::check(const ColdSample &C) {
+  if (C.Spec.Batched) {
+    auto It = Batches.find(C.Spec.Label);
+    if (It == Batches.end())
+      return false;
+    It->second->K = C.K;
+    return It->second->check(3);
+  }
+  SingleBench *S = single(C.Spec.Label);
+  if (!S)
+    return false;
+  S->K = C.K;
+  return S->check();
+}
+
+SingleBench *ServedChecker::single(const std::string &Label) {
+  auto It = Singles.find(Label);
+  return It == Singles.end() ? nullptr : It->second.get();
 }
 
 std::vector<ColdSample> coldPass(const std::vector<ReqSpec> &Order,
                                  const std::string &CacheDir,
-                                 const ServedCheck &Check, Tally &T,
+                                 ServedChecker &Check, Tally &T,
                                  const std::string &CcLog, double &WallS,
-                                 const std::function<void()> &Between) {
+                                 const std::function<double()> &Between) {
   std::error_code Ec;
   fs::remove_all(CacheDir, Ec);
   fs::create_directories(CacheDir, Ec);
@@ -163,13 +194,13 @@ std::vector<ColdSample> coldPass(const std::vector<ReqSpec> &Order,
   double BetweenS = 0;
   int64_t Begin = nowNs();
   for (const ReqSpec &Spec : Order) {
-    if (Between) {
-      int64_t B = nowNs();
-      Between();
-      BetweenS += static_cast<double>(nowNs() - B) / 1e9;
-    }
     ColdSample C;
     C.Spec = Spec;
+    if (Between) {
+      int64_t B = nowNs();
+      C.RefUs = Between();
+      BetweenS += static_cast<double>(nowNs() - B) / 1e9;
+    }
     auto R = Spec.request();
     if (!R) {
       T.fail(sl::codeName(R.code()));
@@ -181,7 +212,8 @@ std::vector<ColdSample> coldPass(const std::vector<ReqSpec> &Order,
     if (!CcLog.empty())
       C.Cc = readCcLog(CcLog, Offset);
     if (!K) {
-      T.fail(sl::codeName(K.code()));
+      std::string Code = sl::codeName(K.code());
+      T.fail(Code, knownFailure(Spec, Code));
       Out.push_back(std::move(C));
       continue;
     }
@@ -196,7 +228,7 @@ std::vector<ColdSample> coldPass(const std::vector<ReqSpec> &Order,
     if (!C.Ok)
       continue;
     LayerTimer KT("kernel");
-    bool Good = Check(C);
+    bool Good = Check.check(C);
     KT.stop();
     if (Good)
       T.ok();

@@ -18,6 +18,7 @@
 #include "Common.h"
 
 #include <functional>
+#include <memory>
 #include <sys/types.h>
 
 namespace perfbench {
@@ -60,28 +61,48 @@ struct ColdSample {
   ReqSpec Spec;
   bool Ok = false;
   double LatencyUs = 0;
+  double RefUs = 0; ///< what the Between hook returned before the request
   sl::TimingBreakdown Timing;
   std::vector<CcRun> Cc; ///< compiler runs attributed to this request
   sl::Kernel K;
 };
 
-/// Checks one served kernel; true when its outputs are right.
-using ServedCheck = std::function<bool(const ColdSample &)>;
+struct SingleBench;
+struct BatchBench;
+
+/// Seeded inputs and reference outputs for a list of requests, prepared
+/// once; check() runs a served kernel on them and compares every output.
+class ServedChecker {
+public:
+  ServedChecker();
+  ~ServedChecker();
+  /// Prepares every request of \p Reqs; false (with \p Err) when one of
+  /// them does not parse.
+  bool prepare(const std::vector<ReqSpec> &Reqs, uint64_t Seed,
+               std::string &Err);
+  /// True when the served kernel's outputs match the reference; a batched
+  /// kernel runs 3 of 4 prepared instances (a ragged count).
+  bool check(const ColdSample &C);
+  /// The prepared single-instance request \p Label, or null.
+  SingleBench *single(const std::string &Label);
+
+private:
+  std::map<std::string, std::unique_ptr<SingleBench>> Singles;
+  std::map<std::string, std::unique_ptr<BatchBench>> Batches;
+};
 
 /// Serves \p Order one request at a time through a fresh `local:` session
-/// over \p CacheDir (every request misses), then runs \p Check on each
-/// served kernel outside the timed span. \p CcLog, when non-empty, is the
-/// counting wrapper's log to attribute compiler runs from. \p WallS gets
-/// the wall time of the gets alone. \p Between, when set, runs before each
-/// request, outside the timed span.
+/// over \p CacheDir (every request misses), then runs \p Check (prepared
+/// for these requests) on each served kernel outside the timed span.
+/// \p CcLog, when non-empty, is the counting wrapper's log to attribute
+/// compiler runs from. \p WallS gets the wall time of the gets alone.
+/// \p Between, when set, runs before each request, outside the timed span;
+/// its result goes to the request's ColdSample::RefUs.
 std::vector<ColdSample> coldPass(const std::vector<ReqSpec> &Order,
                                  const std::string &CacheDir,
-                                 const ServedCheck &Check, Tally &T,
+                                 ServedChecker &Check, Tally &T,
                                  const std::string &CcLog, double &WallS,
-                                 const std::function<void()> &Between = {});
-
-/// Checks one served kernel once on seeded inputs.
-bool checkServed(const ReqSpec &Spec, const sl::Kernel &K, uint64_t Seed);
+                                 const std::function<double()> &Between = {});
 
 /// Direct calls into la, normalize, gen, cir.verify, cir.emit and the
 /// service tuner for every request, each under its own span.

@@ -8,7 +8,8 @@ from this checkout's sources, runs one workload and prints every metric.
 Workloads: cold_miss, kernel_single, batch_stream (see BENCHMARK.json).
 The last line of standard output is the JSON result ({"correct",
 "attempted", "failed", "metrics"}). --trace 1 reports the per-layer
-metrics instead of the end-to-end ones and writes Chrome trace JSON. Every run also writes <build>/results/<workload>-seed<N>-trace<T>.json
+metrics instead of the end-to-end ones and writes Chrome trace JSON.
+Every run also writes <build>/results/<workload>-seed<N>-trace<T>.json
 with provenance (source digest, git sha when available, compiler version,
 requested and host ISA, nproc, load average before and after).
 
@@ -35,9 +36,11 @@ def fail(msg, code=2):
 
 
 def source_digest():
-    """sha256 over the program's sources: provenance without git."""
+    """sha256 over the sources slbench and sld are built from: provenance
+    without git, and the name of the warm kernel cache."""
     h = hashlib.sha256()
-    for top in ("CMakeLists.txt", "include", "src", "tools", "perfbench"):
+    for top in ("CMakeLists.txt", "include", "src", "tools", "perfbench",
+                "bench/BenchCommon.h", "tests/TestData.h"):
         path = os.path.join(ROOT, top)
         files = [path] if os.path.isfile(path) else sorted(
             os.path.join(d, f) for d, _, fs in os.walk(path) for f in fs)
@@ -89,7 +92,8 @@ def main():
     if not args.self_check and not args.workload:
         fail("--workload is required")
 
-    for need in ("CMakeLists.txt", "src", "include", "tools"):
+    for need in ("CMakeLists.txt", "src", "include", "tools",
+                 "bench/BenchCommon.h", "tests/TestData.h"):
         if not os.path.exists(os.path.join(ROOT, need)):
             fail("no SLinGen sources next to perfbench/ (missing %s)" % need)
     if shutil.which("cmake") is None:
@@ -111,7 +115,12 @@ def main():
     env = dict(os.environ)
     env["TMPDIR"] = tmp
     env.pop("SLINGEN_CC", None)
-    cmd = [os.path.join(bdir, "slbench"), "--work", rel(work), "--results",
+    # The warm workloads' kernel cache persists between runs, so it is
+    # named after the sources: a cache compiled by other code (another
+    # commit built in the same directory) is never served.
+    digest = source_digest()
+    cmd = [os.path.join(bdir, "slbench"), "--work", rel(work), "--cache",
+           rel(os.path.join(work, "cache-" + digest)), "--results",
            rel(results), "--sld", os.path.join(bdir, "slingen", "sld"),
            "--cc-wrapper", os.path.join(HERE, "cc_count.sh")]
     if args.self_check:
@@ -137,7 +146,7 @@ def main():
         print(line)
 
     prov = {
-        "source_digest": source_digest(),
+        "source_digest": digest,
         "git_sha": command_output(["git", "rev-parse", "HEAD"]) or "unknown",
         "cc_version": command_output(["cc", "--version"]).split("\n")[0],
         "requested_isa": "avx",

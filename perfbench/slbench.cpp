@@ -9,14 +9,18 @@
 // builds this binary and is the entry point:
 //
 //   slbench --workload <cold_miss|kernel_single|batch_stream>
-//           --seed N --seconds S --trace 0|1 --work DIR --results DIR
-//           --sld PATH --cc-wrapper PATH
+//           --seed N --seconds S --trace 0|1 --work DIR --cache DIR
+//           --results DIR --sld PATH --cc-wrapper PATH
 //   slbench --self-check --work DIR --sld PATH --cc-wrapper PATH
 //
 // --trace 0 measures the end-to-end metrics. --trace 1 measures the
 // workload twice (untraced, then traced: the tracing overhead), probes every
 // layer directly on the workload's requests and reports the per-layer
 // metrics; spans go to <results>/<workload>-seed<N>.trace.json.
+//
+// --cache is the warm workloads' persistent kernel cache; run.py names it
+// after a digest of the sources, so kernels compiled by other code are
+// never served.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +38,7 @@
 #include <fstream>
 #include <memory>
 #include <sys/resource.h>
+#include <unistd.h>
 
 using namespace perfbench;
 namespace fs = std::filesystem;
@@ -41,7 +46,7 @@ namespace fs = std::filesystem;
 namespace {
 
 struct Options {
-  std::string Workload, Work = ".bench_work", Results, Sld, CcWrapper;
+  std::string Workload, Work = ".bench_work", Cache, Results, Sld, CcWrapper;
   uint64_t Seed = 1;
   double Seconds = 10;
   bool Trace = false;
@@ -83,9 +88,8 @@ std::string fmt(const char *F, ...) {
 /// A request kind the workload lacks is probed on this request in traced
 /// runs, so every layer has work in every workload.
 ReqSpec probeFor(ReqKind K) {
-  return K == ReqKind::Batched ? makeSpec("potrf", 8, 0, /*Batched=*/true)
-                               : makeSpec("potrf", 8, 0, false,
-                                          /*Measure=*/true);
+  return makeSpec("potrf", 8, 0, /*Batched=*/K == ReqKind::Batched,
+                  /*Measure=*/K == ReqKind::Measured);
 }
 
 //===----------------------------------------------------------------------===//
@@ -99,8 +103,15 @@ public:
   virtual std::vector<ReqSpec> requests() const = 0;
   /// One set-up; runs several times, each replacing the last one's state.
   virtual bool setup(Tally &T) = 0;
-  /// Measures for about \p Seconds.
-  virtual Figures measure(double Seconds, Tally &T) = 0;
+  /// Measures for about \p Seconds. \p CcLog is the counting compiler
+  /// wrapper's log in traced runs and empty otherwise.
+  virtual Figures measure(double Seconds, Tally &T,
+                          const std::string &CcLog) = 0;
+  /// The traced run's cold path: a workload that serves cold itself gives
+  /// its last pass and that pass's cache directory.
+  virtual bool lastColdPass(std::vector<ColdSample> &, std::string &) const {
+    return false;
+  }
   virtual std::vector<SingleBench *> singleKernels() { return {}; }
   virtual std::vector<BatchBench *> batchKernels() { return {}; }
 };
@@ -113,15 +124,28 @@ std::vector<ReqSpec> hlacs(const std::vector<int> &Sizes) {
   return R;
 }
 
-/// A translation unit with the generated kernels' prelude and a trivial
-/// body: compiling it measures what `cc` costs on this host right now.
-const char *const ReferenceTu = R"c(#include <immintrin.h>
-#include <math.h>
-void perfbench_ref(double *restrict x) {
-  _mm256_storeu_pd(x, _mm256_sqrt_pd(_mm256_loadu_pd(x)));
-  x[4] = sqrt(x[4]);
+/// A fixed translation unit in the style of a generated kernel (the same
+/// prelude, then straight-line AVX code over 16 vector registers) that
+/// takes about as long to compile as a small cold request: compiling it
+/// measures what `cc` costs on this host right now.
+const std::string &referenceTu() {
+  static const std::string Tu = [] {
+    std::string S = "#include <immintrin.h>\n#include <math.h>\n"
+                    "void perfbench_ref(double *restrict x) {\n";
+    for (int V = 0; V < 16; ++V)
+      S += fmt("  __m256d v%d = _mm256_loadu_pd(x + %d);\n", V, 4 * V);
+    for (int I = 0; I < 1000; ++I) {
+      S += fmt("  v%d = _mm256_fmadd_pd(v%d, v%d, _mm256_loadu_pd(x + %d));\n",
+               I % 16, (I * 7 + 3) % 16, (I * 5 + 1) % 16, (I * 4) % 256);
+      if (I % 64 == 63)
+        S += fmt("  _mm256_storeu_pd(x + %d, v%d);\n", (I * 4) % 256, I % 16);
+    }
+    for (int V = 0; V < 16; ++V)
+      S += fmt("  _mm256_storeu_pd(x + %d, v%d);\n", 4 * V, V);
+    return S + "}\n";
+  }();
+  return Tu;
 }
-)c";
 
 /// cold_miss: one client, closed loop, every request a miss.
 class ColdMiss : public Workload {
@@ -145,48 +169,36 @@ public:
   }
 
   bool setup(Tally &) override {
-    // The seeded order, and every checker's inputs and reference outputs.
+    // The seeded order, and the checker's inputs and reference outputs.
     Order = requests();
     Rng R(Opt.Seed);
     for (size_t I = Order.size(); I > 1; --I)
       std::swap(Order[I - 1], Order[R.next() % I]);
-    Singles.clear();
-    Batches.clear();
-    for (const ReqSpec &S : Order) {
-      std::string Err;
-      if (S.Batched) {
-        auto B = std::make_unique<BatchBench>();
-        B->Spec = S;
-        if (!B->prepare(Opt.Seed, 4, Err))
-          return false;
-        Batches[S.Label] = std::move(B);
-      } else {
-        auto B = std::make_unique<SingleBench>();
-        B->Spec = S;
-        if (!B->prepare(Opt.Seed, Err))
-          return false;
-        Singles[S.Label] = std::move(B);
-      }
-    }
-    return true;
+    std::string Err;
+    return Checker.prepare(Order, Opt.Seed, Err);
   }
 
-  Figures measure(double Seconds, Tally &T) override {
+  Figures measure(double Seconds, Tally &T,
+                  const std::string &CcLog) override {
     std::vector<double> All, Single, Batched, Totals;
-    std::map<std::string, std::vector<double>> ByRequest;
-    // The reference: the JIT compile of a fixed, tiny translation unit with
-    // the same prelude, before every request.
+    std::map<std::string, std::vector<double>> ByRequest, RelByRequest;
+    // The reference: the JIT compile of a fixed translation unit just
+    // before every request; rel_time pairs each request with it, so a
+    // stretch of slow host shows in both. Traced runs skip it, so the
+    // counting wrapper sees only the requests' compiles.
     std::vector<double> RefUs;
-    auto Reference = [this, &RefUs] {
-      if (!WithReference)
-        return;
+    auto Reference = [&CcLog, &RefUs]() -> double {
+      if (!CcLog.empty())
+        return 0;
       std::string Err;
       int64_t B = nowNs();
       auto K = slingen::runtime::JitKernel::compile(
-          ReferenceTu, "perfbench_ref", 1, Err,
+          referenceTu(), "perfbench_ref", 1, Err,
           slingen::runtime::isaCompileFlags(slingen::avxIsa()));
-      if (K)
-        RefUs.push_back(static_cast<double>(nowNs() - B) / 1e3);
+      if (!K)
+        return 0;
+      RefUs.push_back(static_cast<double>(nowNs() - B) / 1e3);
+      return RefUs.back();
     };
     int64_t End = nowNs() + static_cast<int64_t>(Seconds * 1e9);
     do {
@@ -196,24 +208,27 @@ public:
       if (!LastDir.empty())
         fs::remove_all(LastDir, Ec);
       LastDir = fmt("%s/cold-%d", Opt.Work.c_str(), Passes++);
-      Last = coldPass(Order, LastDir,
-                      [this](const ColdSample &C) { return check(C); },
-                      PassTally, CcLog, WallS, Reference);
+      Last = coldPass(Order, LastDir, Checker, PassTally, CcLog, WallS,
+                      Reference);
       T.merge(PassTally);
       Totals.push_back(WallS);
       for (const ColdSample &C : Last) {
         All.push_back(C.LatencyUs);
         ByRequest[C.Spec.Label].push_back(C.LatencyUs);
+        if (C.RefUs > 0)
+          RelByRequest[C.Spec.Label].push_back(C.LatencyUs / C.RefUs);
         (C.Spec.Batched ? Batched : Single).push_back(C.LatencyUs);
       }
     } while (nowNs() < End);
     Figures F;
-    std::vector<double> Medians;
+    std::vector<double> Medians, RelMedians;
     for (const auto &[Label, Lat] : ByRequest)
       Medians.push_back(median(Lat));
+    for (const auto &[Label, Rel] : RelByRequest)
+      RelMedians.push_back(median(Rel));
     F.LatencyUs = geomean(Medians);
     F.TailUs = quantile(All, 0.9);
-    F.RelTime = F.LatencyUs / median(RefUs);
+    F.RelTime = geomean(RelMedians);
     double Sum = 0;
     for (double S : Totals)
       Sum += S;
@@ -233,34 +248,25 @@ public:
     return F;
   }
 
-  const std::vector<ColdSample> &lastPass() const { return Last; }
-  std::string CcLog;   ///< set by the traced run
-  bool WithReference = true; ///< the traced run skips the reference
-  std::string LastDir; ///< cache directory of the last pass
-
-private:
-  bool check(const ColdSample &C) {
-    if (C.Spec.Batched) {
-      BatchBench &B = *Batches[C.Spec.Label];
-      B.K = C.K;
-      return B.check(3);
-    }
-    SingleBench &S = *Singles[C.Spec.Label];
-    S.K = C.K;
-    return S.check();
+  bool lastColdPass(std::vector<ColdSample> &Served,
+                    std::string &CacheDir) const override {
+    Served = Last;
+    CacheDir = LastDir;
+    return true;
   }
 
+private:
   std::vector<ReqSpec> Order;
-  std::map<std::string, std::unique_ptr<SingleBench>> Singles;
-  std::map<std::string, std::unique_ptr<BatchBench>> Batches;
+  ServedChecker Checker;
   std::vector<ColdSample> Last;
+  std::string LastDir; ///< cache directory of the last pass
   int Passes = 0;
 };
 
-/// Opens `local:` on the benchmark's persistent cache: the first run in a
-/// checkout compiles, later set-ups load from disk.
+/// Opens `local:` on the benchmark's persistent cache: the first run of
+/// these sources compiles, later set-ups load from disk.
 sl::Result<sl::Session> warmSession() {
-  return sl::Session::open("local:" + Opt.Work + "/cache");
+  return sl::Session::open("local:" + Opt.Cache);
 }
 
 /// kernel_single: warm, single thread, Kernel::call interleaved with the
@@ -288,7 +294,8 @@ public:
       auto R = Spec.request(/*WantObject=*/false);
       auto K = S->get(*R);
       if (!K) {
-        T.fail(sl::codeName(K.code()));
+        std::string Code = sl::codeName(K.code());
+        T.fail(Code, knownFailure(Spec, Code));
         continue;
       }
       auto B = std::make_unique<SingleBench>();
@@ -302,7 +309,7 @@ public:
     return true;
   }
 
-  Figures measure(double Seconds, Tally &T) override {
+  Figures measure(double Seconds, Tally &T, const std::string &) override {
     const double Rate = ticksPerNs();
     for (auto &K : Kernels) {
       K->Cycles.assign(K->Cycles.size(), {});
@@ -393,7 +400,8 @@ public:
       auto R = Spec.request(/*WantObject=*/false);
       auto K = S->get(*R);
       if (!K) {
-        T.fail(sl::codeName(K.code()));
+        std::string Code = sl::codeName(K.code());
+        T.fail(Code, knownFailure(Spec, Code));
         continue;
       }
       auto B = std::make_unique<BatchBench>();
@@ -409,7 +417,7 @@ public:
     return true;
   }
 
-  Figures measure(double Seconds, Tally &T) override {
+  Figures measure(double Seconds, Tally &T, const std::string &) override {
     for (auto &K : Kernels) {
       for (auto &Rw : K->Rows) {
         Rw.NsPerCall.clear();
@@ -693,17 +701,21 @@ int run() {
     return 2;
   }
   std::error_code Ec;
-  fs::create_directories(Opt.Work, Ec);
   fs::create_directories(Opt.Results, Ec);
   unsetenv("SLINGEN_CC"); // untraced measurements use the plain `cc`
   ticksPerNs();
 
-  // Set-up runs three times; the median is setup_s and the last one's
-  // state is measured.
-  constexpr int SetupReps = 3;
+  // Set-up runs at least five times, and a short one until the reps add up
+  // to a second: the median is setup_s, and the last one's state is
+  // measured. The median of five millisecond set-ups moved by a third
+  // between runs; of a few hundred, by a few percent.
+  constexpr int MinSetupReps = 5, MaxSetupReps = 500;
+  constexpr int64_t SetupBudgetNs = 1'000'000'000;
   std::vector<double> SetupS;
   Tally SetupTally;
-  for (int I = 0; I < SetupReps; ++I) {
+  for (int64_t Begin = nowNs();
+       SetupS.size() < MinSetupReps ||
+       (SetupS.size() < MaxSetupReps && nowNs() - Begin < SetupBudgetNs);) {
     SetupTally = Tally();
     int64_t B = nowNs();
     if (!W->setup(SetupTally)) {
@@ -720,28 +732,24 @@ int run() {
   std::vector<Metric> Ms;
   Figures F;
   if (!Opt.Trace) {
-    F = W->measure(Opt.Seconds, T);
+    F = W->measure(Opt.Seconds, T, "");
+    // The gated metrics. Absolute times (latency_us, ops_per_s) are
+    // printed with the figures: on a shared host a whole run can be 30-40%
+    // slower than the next, while rel_time stays within a few percent.
     Ms = {{"setup_s", "s", median(SetupS)},
-          {"latency_us", "us", F.LatencyUs},
           {"rel_time", "ratio", F.RelTime},
-          {"ops_per_s", "1/s", F.OpsPerS},
           {"peak_rss_mb", "MB", processPeakRssMb()},
           {"ok_frac", "ratio", 1.0 - T.failFrac()}};
   } else {
     // The same measurement untraced, then traced: the overhead.
     Tally Untraced;
-    Figures U = W->measure(Opt.Seconds / 2, Untraced);
+    Figures U = W->measure(Opt.Seconds / 2, Untraced, "");
     std::string CcLog = Opt.Work + "/cc.log";
-    fs::remove(CcLog, Ec);
     setenv("SLINGEN_CC", ("sh " + Opt.CcWrapper).c_str(), 1);
     setenv("PERFBENCH_CC_LOG", CcLog.c_str(), 1);
-    if (auto *CM = dynamic_cast<ColdMiss *>(W.get())) {
-      CM->CcLog = CcLog;
-      CM->WithReference = false;
-    }
     spans().enable(true);
     sl::setTracing(true);
-    F = W->measure(Opt.Seconds / 2, T);
+    F = W->measure(Opt.Seconds / 2, T, CcLog);
 
     LayerSamples L;
     L["trace.overhead_pct"].push_back(
@@ -751,23 +759,21 @@ int run() {
     // kind it lacks): the cold pass itself for cold_miss, a traced cold
     // serve through a fresh cache for the warm workloads.
     std::vector<ReqSpec> Reqs = W->requests();
-    for (ReqKind K : {ReqKind::Batched, ReqKind::Measured})
+    for (ReqKind K : {ReqKind::Single, ReqKind::Batched, ReqKind::Measured})
       if (std::none_of(Reqs.begin(), Reqs.end(),
                        [K](const ReqSpec &S) { return S.kind() == K; }))
         Reqs.push_back(probeFor(K));
     std::vector<ColdSample> Served;
     std::string ProbeCache = Opt.Work + "/cold-probe";
-    if (auto *CM = dynamic_cast<ColdMiss *>(W.get())) {
-      Served = CM->lastPass(); // the traced pass
-      ProbeCache = CM->LastDir;
-    } else {
+    if (!W->lastColdPass(Served, ProbeCache)) {
+      ServedChecker Check;
+      std::string Err;
+      if (!Check.prepare(Reqs, Opt.Seed, Err)) {
+        fprintf(stderr, "perfbench: %s\n", Err.c_str());
+        return 1;
+      }
       double WallS = 0;
-      Served = coldPass(
-          Reqs, ProbeCache,
-          [](const ColdSample &C) {
-            return checkServed(C.Spec, C.K, Opt.Seed);
-          },
-          T, CcLog, WallS);
+      Served = coldPass(Reqs, ProbeCache, Check, T, CcLog, WallS);
     }
     coldLayers(Served, L);
     probeGenerator(Reqs, L);
@@ -797,11 +803,9 @@ int run() {
     std::string Err;
     sl::exportTraceJson(Base + ".program-trace.json", Err);
   }
-  // Cold passes leave their caches behind; none is reused.
-  for (const auto &E : fs::directory_iterator(Opt.Work, Ec))
-    if (E.path().filename().string().rfind("cold-", 0) == 0)
-      fs::remove_all(E.path(), Ec);
-
+  F.Named.push_back({"setup_reps", static_cast<double>(SetupS.size())});
+  F.Named.push_back({"latency_us", F.LatencyUs});
+  F.Named.push_back({"ops_per_s", F.OpsPerS});
   F.Named.push_back({"tail_us", F.TailUs});
   printFigures(F);
   for (const auto &[C, N] : T.ByCode)
@@ -809,8 +813,9 @@ int run() {
   for (const Metric &M : Ms)
     printf("%-30s %.6g %s\n", M.Name.c_str(), M.Value, M.Unit.c_str());
   writeDetails(F, T, Ms);
-  bool Correct = T.Attempted > T.Failed && !T.ByCode.count("output-mismatch") &&
-                 !T.ByCode.count("artifact-mismatch");
+  // Any failure but the known ones (an API error as much as a wrong
+  // output) makes the run incorrect.
+  bool Correct = T.Attempted > T.Failed && T.Failed == T.Known;
   printf("%s\n", resultJson(Correct, T, Ms).c_str());
   fflush(stdout);
   return Correct ? 0 : 1;
@@ -819,8 +824,6 @@ int run() {
 /// Asserts that the checker refuses a perturbed output and that an
 /// unparsable LA request counts as a failed operation.
 int selfCheck() {
-  std::error_code Ec;
-  fs::create_directories(Opt.Work, Ec);
   int Bad = 0;
   auto expect = [&](bool Cond, const char *What) {
     printf("  %-56s %s\n", What, Cond ? "ok" : "FAILED");
@@ -831,16 +834,9 @@ int selfCheck() {
   Unparsable.Family = "Mat A(4, 4) <In>;\nthis is not LA;\n";
   Unparsable.Label = "unparsable";
 
-  std::map<std::string, std::unique_ptr<SingleBench>> Benches;
-  auto Check = [&](const ColdSample &C) {
-    auto B = std::make_unique<SingleBench>();
-    B->Spec = C.Spec;
-    B->K = C.K;
-    std::string Err;
-    bool Ok = B->prepare(Opt.Seed, Err) && B->check();
-    Benches[C.Spec.Label] = std::move(B);
-    return Ok;
-  };
+  ServedChecker Check;
+  std::string Err;
+  expect(Check.prepare({Good}, Opt.Seed, Err), "the checker prepares potrf4");
   Tally T;
   double WallS = 0;
   auto Pass = coldPass({Good, Unparsable}, Opt.Work + "/selfcheck", Check, T,
@@ -850,10 +846,12 @@ int selfCheck() {
   expect(T.ByCode.count("parse-error") == 1,
          "the failure is tallied as parse-error");
   expect(T.failFrac() > 0.49 && T.failFrac() < 0.51, "fail_frac is 1/2");
-  auto It = Benches.find(Good.Label);
-  expect(It != Benches.end(), "the good request was served and checked");
-  if (It != Benches.end()) {
-    SingleBench &B = *It->second;
+  expect(T.Known == 0, "the failure is not a known one: the run is incorrect");
+  expect(!Pass.empty() && Pass[0].Ok,
+         "the good request was served and checked");
+  if (SingleBench *S = Check.single(Good.Label); S && !Pass.empty() &&
+                                                  Pass[0].Ok) {
+    SingleBench &B = *S;
     expect(outputsMatch(B.Info, B.Ptrs.data(), B.Want),
            "the checker accepts the served output");
     int X = B.Info.index("X");
@@ -861,7 +859,6 @@ int selfCheck() {
     expect(!outputsMatch(B.Info, B.Ptrs.data(), B.Want),
            "the checker rejects a perturbed output");
   }
-  fs::remove_all(Opt.Work + "/selfcheck", Ec);
   printf("self-check: %s\n", Bad ? "FAILED" : "ok");
   return Bad ? 1 : 0;
 }
@@ -888,6 +885,8 @@ int main(int argc, char **argv) {
       Opt.Trace = next() == "1";
     else if (A == "--work")
       Opt.Work = next();
+    else if (A == "--cache")
+      Opt.Cache = next();
     else if (A == "--results")
       Opt.Results = next();
     else if (A == "--sld")
@@ -903,7 +902,14 @@ int main(int argc, char **argv) {
   }
   if (Opt.Results.empty())
     Opt.Results = Opt.Work;
-  if (Opt.SelfCheck)
-    return selfCheck();
-  return run();
+  if (Opt.Cache.empty())
+    Opt.Cache = Opt.Work + "/cache";
+  // This run's scratch (cold caches, the compiler log, the probe daemon's
+  // socket) is its own, so runs sharing --work cannot delete each other's.
+  Opt.Work += fmt("/run-%d", static_cast<int>(getpid()));
+  std::error_code Ec;
+  fs::create_directories(Opt.Work, Ec);
+  int Rc = Opt.SelfCheck ? selfCheck() : run();
+  fs::remove_all(Opt.Work, Ec);
+  return Rc;
 }
