@@ -314,9 +314,9 @@ struct TimingBreakdown {
   long CacheUs = 0;   ///< memory-cache lookup
   long WaitUs = 0;    ///< time spent joined onto another request's work
   long DiskUs = 0;    ///< disk-tier probe/load (excluding any recompile)
-  long GenUs = 0;     ///< generation: parse, variants, tuning, emission
-  long TuneUs = 0;    ///< measured batch-strategy tuning (inside GenUs)
-  long CompileUs = 0; ///< C compilation (JIT) time
+  long GenUs = 0;     ///< generation: parse, variants, verify, emission
+  long TuneUs = 0;    ///< tuner candidate timing (variants, strategies)
+  long CompileUs = 0; ///< C compilation (JIT) time, tuning units included
   long TotalUs = 0;   ///< serving side's end-to-end time
   /// Wall time of the whole get() as seen by this client -- the only
   /// field measured client-side. RoundTripUs - TotalUs approximates
@@ -351,6 +351,11 @@ public:
 
   /// 16-hex content key (the cache/wire identity of this kernel).
   const std::string &key() const;
+  /// The served kernel's symbol prefix in objectBytes(): `<name>` and
+  /// `<name>_entry` (plus `_batch_entry` when batched). A tuned kernel
+  /// ships its whole tuning unit, so this names the winner in it -- e.g.
+  /// `<requested>_v1` or `<requested>_fused` -- rather than the
+  /// requested name.
   const std::string &functionName() const;
   const std::string &isa() const;
   /// The full emitted C translation unit.

@@ -46,11 +46,14 @@ public:
 
     // Compiler temporaries become file-scope so every part sees them.
     // (They are always fully written before being read within a call, so
-    // static persistence across calls is unobservable.)
+    // static persistence across calls is unobservable.) They are prefixed
+    // with the function name: a translation unit holding several kernels
+    // (a batch emission, a tuning unit) may split more than one.
+    FileScopeLocals = true;
     for (const Operand *L : F.Locals)
       Sink.line(formatf(
           "static double %s[%d] __attribute__((aligned(64)));",
-          L->Name.c_str(), L->Rows * L->Cols * F.LocalVecWidth));
+          bufName(L).c_str(), L->Rows * L->Cols * F.LocalVecWidth));
 
     for (size_t P = 0; P < Parts.size(); ++P) {
       std::string Name = formatf("%s_part%zu", F.Name.c_str(), P);
@@ -102,6 +105,12 @@ private:
   int Nu;
   CodeSink Sink;
   std::set<const Operand *> Locals;
+  bool FileScopeLocals = false; ///< locals live at file scope (split)
+
+  std::string bufName(const Operand *Buf) const {
+    return FileScopeLocals && Locals.count(Buf) ? F.Name + "_" + Buf->Name
+                                                : Buf->Name;
+  }
 
   /// True when the address provably sits at a full-vector boundary of a
   /// 64-byte-aligned local array: every offset contribution (constant and
@@ -125,7 +134,7 @@ private:
   std::string var(int Id) const { return formatf("i%d", Id); }
 
   std::string address(const Addr &A) const {
-    std::string S = A.Buf->Name;
+    std::string S = bufName(A.Buf);
     S += formatf(" + %d", A.Const);
     for (auto [Var, Coeff] : A.Terms) {
       if (Coeff == 1)
@@ -798,13 +807,20 @@ std::string cir::emitPrototype(const Function &F) {
 }
 
 std::string cir::emitTranslationUnit(const Function &F) {
+  return emitTranslationUnit(std::vector<const Function *>{&F});
+}
+
+std::string cir::emitTranslationUnit(const std::vector<const Function *> &Fs) {
+  bool Vector = false;
+  for (const Function *F : Fs)
+    Vector |= F->Nu > 1;
   std::string S;
   S += "#include <math.h>\n";
-  if (F.Nu > 1)
+  if (Vector)
     S += "#include <immintrin.h>\n";
-  S += "\n";
   // Very large fully-unrolled kernels are split into part-functions to
   // keep the C compiler's superlinear per-function analyses tractable.
-  S += emitFunctionSplit(F, /*MaxInstsPerPart=*/1 << 14);
+  for (const Function *F : Fs)
+    S += "\n" + emitFunctionSplit(*F, /*MaxInstsPerPart=*/1 << 14);
   return S;
 }

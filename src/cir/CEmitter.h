@@ -19,6 +19,7 @@
 #include "cir/CIR.h"
 
 #include <string>
+#include <vector>
 
 namespace slingen {
 namespace cir {
@@ -41,6 +42,11 @@ std::string emitFunctionSplit(const Function &F, int MaxInstsPerPart);
 /// Returns a complete compilable C translation unit containing \p F.
 /// Kernels beyond ~64k instructions are emitted via emitFunctionSplit.
 std::string emitTranslationUnit(const Function &F);
+
+/// One translation unit defining every function of \p Fs under a single
+/// prelude -- e.g. the tuning unit that holds every candidate variant, so
+/// the C compiler runs once for all of them. Names must be distinct.
+std::string emitTranslationUnit(const std::vector<const Function *> &Fs);
 
 /// The C prototype of \p F ("void name(double *A, const double *B)").
 std::string emitPrototype(const Function &F);

@@ -158,11 +158,14 @@ std::optional<JitKernel> JitKernel::compile(const std::string &CSource,
       return std::nullopt;
     }
     Out << CSource;
-    bool WithSpan =
-        Opts.WithBatchEntry &&
-        CSource.find(FuncName + "_batch_span(") != std::string::npos;
-    appendTrampolines(Out, FuncName, NumParams, Opts.WithBatchEntry,
-                      WithSpan);
+    std::vector<std::string> Entries = Opts.MoreEntries;
+    Entries.insert(Entries.begin(), FuncName);
+    for (const std::string &Name : Entries) {
+      bool WithSpan =
+          Opts.WithBatchEntry &&
+          CSource.find(Name + "_batch_span(") != std::string::npos;
+      appendTrampolines(Out, Name, NumParams, Opts.WithBatchEntry, WithSpan);
+    }
   }
 
   // Process-local objects target the host (-march=native first, so per-ISA
@@ -256,27 +259,46 @@ std::optional<JitKernel> JitKernel::load(const std::string &SoPath,
   }
   K.OwnsSo = false; // until a caller hands over ownership
   K.SoPath = SoPath;
-  K.Entry = reinterpret_cast<EntryFn>(
-      dlsym(K.Handle, (FuncName + "_entry").c_str()));
-  if (!K.Entry) {
-    Err = "entry symbol " + FuncName + "_entry not found in " + SoPath;
+  K.NumParams = NumParams;
+  if (!K.resolve(FuncName, WithBatchEntry, Err))
     return std::nullopt;
+  return K;
+}
+
+bool JitKernel::bind(const std::string &FuncName, std::string &Err) {
+  EntryFn OldEntry = Entry;
+  BatchEntryFn OldBatch = BatchEntry;
+  BatchSpanEntryFn OldSpan = BatchSpanEntry;
+  if (resolve(FuncName, OldBatch != nullptr, Err))
+    return true;
+  Entry = OldEntry;
+  BatchEntry = OldBatch;
+  BatchSpanEntry = OldSpan;
+  return false;
+}
+
+bool JitKernel::resolve(const std::string &FuncName, bool WithBatchEntry,
+                        std::string &Err) {
+  Entry = reinterpret_cast<EntryFn>(
+      dlsym(Handle, (FuncName + "_entry").c_str()));
+  if (!Entry) {
+    Err = "entry symbol " + FuncName + "_entry not found in " + SoPath;
+    return false;
   }
   if (WithBatchEntry) {
-    K.BatchEntry = reinterpret_cast<BatchEntryFn>(
-        dlsym(K.Handle, (FuncName + "_batch_entry").c_str()));
-    if (!K.BatchEntry) {
+    BatchEntry = reinterpret_cast<BatchEntryFn>(
+        dlsym(Handle, (FuncName + "_batch_entry").c_str()));
+    if (!BatchEntry) {
       Err = "batch entry symbol " + FuncName + "_batch_entry not found in " +
             SoPath;
-      return std::nullopt;
+      return false;
     }
     // Optional: objects compiled before the span entry existed simply
     // cannot be dispatched threaded (callers check hasBatchSpan()).
-    K.BatchSpanEntry = reinterpret_cast<BatchSpanEntryFn>(
-        dlsym(K.Handle, (FuncName + "_batch_span_entry").c_str()));
+    BatchSpanEntry = reinterpret_cast<BatchSpanEntryFn>(
+        dlsym(Handle, (FuncName + "_batch_span_entry").c_str()));
   }
-  K.NumParams = NumParams;
-  return K;
+  return true;
 }
 
 std::string runtime::isaCompileFlags(const VectorISA &Isa) {

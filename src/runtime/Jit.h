@@ -11,7 +11,9 @@
 /// step. A uniform `double **` trampoline is appended to the translation
 /// unit so kernels with any parameter count share one call interface; an
 /// optional `(int count, double **)` trampoline serves the batched entry
-/// point of the Sec. 5 extension.
+/// point of the Sec. 5 extension. A unit may define several kernels under
+/// distinct symbol prefixes (a tuning unit: one per candidate); each gets
+/// its trampolines, and JitKernel::bind switches between them in place.
 ///
 /// Shared objects normally live in a temporary file that is removed when the
 /// kernel unloads; the KernelService disk tier instead compiles to (and
@@ -27,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace slingen {
 
@@ -45,6 +48,11 @@ struct CompileOptions {
   /// Also emit and bind the `<func>_batch_entry(int, double *const *)`
   /// trampoline; requires the source to define `<func>_batch(int, ...)`.
   bool WithBatchEntry = false;
+  /// Further symbol prefixes the source defines the way it defines
+  /// FuncName (`<prefix>`, and `<prefix>_batch` with WithBatchEntry): each
+  /// gets the same trampolines. A tuning unit holds one candidate per
+  /// prefix; JitKernel::bind switches the loaded kernel between them.
+  std::vector<std::string> MoreEntries;
 };
 
 /// A loaded kernel. Movable; unloads the shared object and (when it owns the
@@ -90,6 +98,13 @@ public:
                                                 int NumParams,
                                                 std::string &Err,
                                                 bool WithBatchEntry = false);
+
+  /// Rebinds this kernel's entry points to the \p FuncName prefix of the
+  /// same shared object (one of the prefixes it was compiled with, see
+  /// CompileOptions::MoreEntries), keeping the batched entry when the
+  /// kernel has one. On failure returns false with \p Err and leaves the
+  /// current binding.
+  bool bind(const std::string &FuncName, std::string &Err);
 
   /// Path of the loaded shared object (the cache-owned or temporary file
   /// this kernel was dlopen'd from); the sld server reads these bytes to
@@ -155,6 +170,10 @@ private:
   }
 
   JitKernel() = default;
+
+  /// dlsym's the trampolines of \p FuncName in Handle into the entries.
+  bool resolve(const std::string &FuncName, bool WithBatchEntry,
+               std::string &Err);
 
   using EntryFn = void (*)(double *const *);
   using BatchEntryFn = void (*)(int, double *const *);

@@ -64,8 +64,14 @@ namespace service {
 /// was available) the loaded shared object. Immutable once published.
 struct KernelArtifact {
   std::string Key;      ///< 16-hex content key
-  std::string CSource;  ///< full translation unit (batched TU when Batched)
-  std::string FuncName; ///< base kernel symbol
+  /// The full translation unit the kernel was compiled from: batched when
+  /// Batched, and for a tuned artifact the whole tuning unit (every
+  /// candidate, see service/Tuner.h).
+  std::string CSource;
+  /// Kernel symbol prefix: `<FuncName>` and `<FuncName>_entry` (and the
+  /// `_batch` entries when Batched) are the served kernel. The request's
+  /// function name, or the tuning winner's prefix within CSource.
+  std::string FuncName;
   std::string IsaName;  ///< target ISA name ("avx", ...)
   int NumParams = 0;
   bool Batched = false;          ///< has the `<func>_batch` entry point

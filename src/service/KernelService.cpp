@@ -363,8 +363,12 @@ ArtifactPtr KernelService::produce(const std::string &Key, const Generator &G,
   }
 
   // Generate. Measured tuning needs a compiler; otherwise (and on explicit
-  // request) the static cost model ranks the variants. GenUs covers the
-  // whole block, including measured variant tuning when Measure is on.
+  // request) the static cost model ranks the variants. Each tuning stage
+  // compiles its candidates as one unit; the unit that decides the
+  // artifact is compiled exactly as the artifact ships (keyed-ISA flags,
+  // published at the disk-tier path when there is one), so the object that
+  // was timed is the object served. Tuner compile and measurement time are
+  // charged to CompileUs and TuneUs; GenUs keeps the rest.
   ++Generations;
   TM.Tier = "generated";
   obs::ScopedSpan Gen("generate", "service", &M.GenUs);
@@ -373,27 +377,66 @@ ArtifactPtr KernelService::produce(const std::string &Key, const Generator &G,
   TO.MaxVariants = Cfg.MaxVariants;
   TO.Measure.Repeats = Cfg.MeasureRepeats;
   TO.ExtraFlags = IsaFlags;
-  std::optional<TuneResult> Tuned;
-  if (Measure && Compile) {
-    ++TunerRuns;
-    Tuned = tuneKernel(G, TO, Err);
-  } else {
-    TuneResult Static;
-    if (auto R = G.best(Cfg.MaxVariants))
-      Static.Result = std::move(*R);
-    else {
-      Err = "generation failed (infeasible variant?)";
-      Code = Errc::GenerationFailed;
-      TM.GenUs = Gen.finish();
-      return nullptr;
-    }
-    Tuned = std::move(Static);
+  std::string ShipSoPath;
+  if (Compile && Cache.hasDiskTier()) {
+    Cache.ensureEntryDir(Key);
+    ShipSoPath = Cache.soPathFor(Key);
   }
-  TM.GenUs = Gen.finish();
-  if (!Tuned) {
+  auto Account = [&](const TuningUnit &U) {
+    Compilations += U.Compiles;
+    TM.CompileUs += U.CompileUs;
+    TM.TuneUs += U.MeasureUs;
+    if (U.MeasureUs > 0)
+      M.TuneUs.record(U.MeasureUs);
+  };
+  // The verifier gate: no freshly generated C-IR reaches the JIT without
+  // passing cir::verify -- every function a tuning unit or the shipped
+  // unit prints, checked before its one compile. A violation is a
+  // generator or pass bug; it is refused as a structured error, never
+  // compiled or run. (The disk-recompile path above re-compiles persisted
+  // C source that was generated from verified IR; there is no IR left to
+  // check there.)
+  auto Reject = [&](const cir::VerifyError &VE) -> ArtifactPtr {
+    M.VerifyRejected.add();
+    obs::EventLog::global().log(
+        obs::EventLog::Level::Error, obs::currentTraceId(), "verify_rejected",
+        {{"fn", VE.Fn},
+         {"kind", cir::verifyKindName(VE.Kind)},
+         {"detail", VE.Detail},
+         {"instr", std::to_string(VE.InstrIndex)}});
+    Err = "C-IR verification failed: " + VE.str();
+    Code = Errc::InvalidKernelIR;
+    TM.GenUs = Gen.finish() - TM.TuneUs - TM.CompileUs;
+    return nullptr;
+  };
+
+  std::vector<GenResult> All = G.enumerate(Cfg.MaxVariants);
+  if (All.empty()) {
+    Err = "generation failed (infeasible variant?)";
     Code = Errc::GenerationFailed;
+    TM.GenUs = Gen.finish();
     return nullptr;
   }
+  // The "corrupt-ir" fault point breaks the best-ranked variant's IR the
+  // way a real generator bug would, so tests can drive the gate end to end
+  // on every path -- tuning units included.
+  if (fault::shouldFire("corrupt-ir"))
+    All.front().Func.RegIsVec.push_back(false);
+  TuneResult Tuned;
+  if (Measure && Compile) {
+    ++TunerRuns;
+    // A batched request's variant unit only picks the kernel the batch
+    // unit is built around; the batch unit is what ships.
+    TO.KeepSoPath = Batched ? std::string() : ShipSoPath;
+    std::string TuneErr;
+    Tuned = std::move(*tuneVariants(std::move(All), TO, TuneErr));
+    Account(Tuned.Unit);
+    if (Tuned.Rejected)
+      return Reject(*Tuned.Rejected);
+  } else {
+    Tuned.Result = std::move(All.front());
+  }
+  const GenResult &R = Tuned.Result;
 
   // Batched requests resolve the configured strategy to a concrete one:
   // the instance-parallel forms need vector lanes, and Auto picks per
@@ -404,91 +447,70 @@ ArtifactPtr KernelService::produce(const std::string &Key, const Generator &G,
   // loop and so does the label.
   BatchStrategy Strat = BatchStrategy::ScalarLoop;
   int BatchThreads = 1;
-  std::string BatchedSource;
-  if (Batched) {
+  TuningUnit Ship;
+  if (!Batched && Tuned.Unit.Kernel) {
+    Ship = std::move(Tuned.Unit);
+  } else if (!Batched) {
+    if (auto VE = verifyKernels(R, nullptr))
+      return Reject(*VE);
+    Ship.Source = emitC(R);
+    Ship.FuncName = R.Func.Name;
+  } else {
     const int ThreadsPolicy = Req.Threads.value_or(Cfg.BatchThreads);
     Strat = Req.Strategy.value_or(Cfg.Strategy);
-    if ((Strat == BatchStrategy::InstanceParallel ||
-         Strat == BatchStrategy::InstanceParallelFused) &&
-        O.Isa->Nu < 2)
-      Strat = BatchStrategy::ScalarLoop;
     if (Strat == BatchStrategy::Auto) {
-      obs::ScopedSpan Tune("tune-batch", "service", &M.TuneUs);
-      BatchChoice BC = chooseBatchStrategy(Tuned->Result, O, TO, Compile,
-                                           ThreadsPolicy);
-      TM.TuneUs = Tune.finish();
+      obs::ScopedSpan Tune("tune-batch", "service");
+      TO.KeepSoPath = ShipSoPath;
+      BatchChoice BC = chooseBatchStrategy(R, O, TO, Compile, ThreadsPolicy);
+      Account(BC.Unit);
       if (BC.Measured)
         ++TunerRuns;
+      if (BC.Rejected)
+        return Reject(*BC.Rejected);
       Strat = BC.Strategy;
       BatchThreads = BC.Threads;
-      BatchedSource = std::move(BC.ChosenSource); // winning TU, when emitted
+      Ship = std::move(BC.Unit);
     } else {
       // Pinned strategies keep the pinned (or single-threaded) width; only
       // Auto measures threading.
       BatchThreads = ThreadsPolicy >= 1 ? ThreadsPolicy : 1;
-    }
-    if (Strat == BatchStrategy::InstanceParallelFused &&
-        BatchedSource.empty()) {
-      bool UsedVector = false;
-      BatchedSource = emitBatchedVectorFusedC(Tuned->Result, &O, &UsedVector);
-      if (!UsedVector)
+      std::optional<WidenedKernels> W;
+      if (Strat != BatchStrategy::ScalarLoop)
+        W = widenKernels(R, &O, Strat == BatchStrategy::InstanceParallel,
+                         Strat == BatchStrategy::InstanceParallelFused);
+      if (!W || !W->supports(Strat)) {
         Strat = BatchStrategy::ScalarLoop;
+        W.reset();
+      }
+      const WidenedKernels *WP = W ? &*W : nullptr;
+      if (auto VE = verifyKernels(R, WP))
+        return Reject(*VE);
+      Ship.Source = emitBatchUnit(R, {Strat}, WP);
+      Ship.FuncName = R.Func.Name;
     }
-    if (Strat == BatchStrategy::InstanceParallel && BatchedSource.empty()) {
-      bool UsedVector = false;
-      BatchedSource = emitBatchedVectorC(Tuned->Result, &O, &UsedVector);
-      if (!UsedVector)
-        Strat = BatchStrategy::ScalarLoop;
-    }
-    if (Strat == BatchStrategy::ScalarLoop)
-      BatchedSource = emitBatchedC(Tuned->Result);
   }
-
-  // The verifier gate: no freshly generated C-IR reaches the JIT without
-  // passing cir::verify -- the single-instance kernel and every widened
-  // batch variant the emission lowers. A violation is a generator or pass
-  // bug; it is refused as a structured error, never shipped as a kernel
-  // that could fault inside a dlopen'd object. (The disk-recompile path
-  // above re-compiles persisted C source that was generated from verified
-  // IR; there is no IR left to check there.) The "corrupt-ir" fault point
-  // deliberately breaks the IR so tests can drive this path end to end.
-  if (fault::shouldFire("corrupt-ir"))
-    Tuned->Result.Func.RegIsVec.push_back(false);
-  if (auto VE = verifyEmittedIR(Tuned->Result, &O, Batched, Strat)) {
-    M.VerifyRejected.add();
-    obs::EventLog::global().log(
-        obs::EventLog::Level::Error, obs::currentTraceId(), "verify_rejected",
-        {{"fn", VE->Fn},
-         {"kind", cir::verifyKindName(VE->Kind)},
-         {"detail", VE->Detail},
-         {"instr", std::to_string(VE->InstrIndex)}});
-    Err = "C-IR verification failed: " + VE->str();
-    Code = Errc::InvalidKernelIR;
-    return nullptr;
-  }
+  TM.GenUs = Gen.finish() - TM.TuneUs - TM.CompileUs;
 
   auto A = std::make_shared<KernelArtifact>();
   A->Key = Key;
-  A->FuncName = Tuned->Result.Func.Name;
+  A->FuncName = Ship.FuncName;
   A->IsaName = O.Isa->Name;
-  A->NumParams = static_cast<int>(Tuned->Result.Func.Params.size());
+  A->NumParams = static_cast<int>(R.Func.Params.size());
   A->Batched = Batched;
   A->Strategy = Strat;
   A->BatchThreads = BatchThreads;
-  A->Choice = Tuned->Result.Choice;
-  A->StaticCost = Tuned->Result.Cost;
-  A->Measured = Tuned->Measured;
-  A->MeasuredCycles = Tuned->MedianCycles;
-  A->CSource = Batched ? std::move(BatchedSource) : emitC(Tuned->Result);
+  A->Choice = R.Choice;
+  A->StaticCost = R.Cost;
+  A->Measured = Tuned.Measured;
+  A->MeasuredCycles = Tuned.MedianCycles;
+  A->CSource = std::move(Ship.Source);
+  A->Kernel = std::move(Ship.Kernel);
 
-  if (Compile) {
+  if (Compile && !A->Kernel) {
     runtime::CompileOptions CO;
     CO.ExtraFlags = IsaFlags;
     CO.WithBatchEntry = Batched;
-    if (Cache.hasDiskTier()) {
-      Cache.ensureEntryDir(Key);
-      CO.KeepSoPath = Cache.soPathFor(Key);
-    }
+    CO.KeepSoPath = ShipSoPath;
     std::string CompileErr;
     ++Compilations;
     obs::ScopedSpan Cc("compile", "service");

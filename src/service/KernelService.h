@@ -20,10 +20,13 @@
 ///                  generate+compile; the rest block on a shared future and
 ///                  receive the same artifact.
 ///   measured tuning  with Config.Measure the top-K enumerated variants are
-///                  JIT-compiled and timed (median of k), and the winning
-///                  choice vector is persisted with the cache entry; where
-///                  measurement is impossible the static cost model ranks
-///                  (see Tuner).
+///                  JIT-compiled as one unit and timed (median of k), and
+///                  the winning choice vector is persisted with the cache
+///                  entry; where measurement is impossible the static cost
+///                  model ranks (see Tuner). The unit that decides the
+///                  artifact is compiled as the artifact ships and is
+///                  served as is: one cc run per tuning stage, no
+///                  recompile of the winner.
 ///
 /// Batched requests (Batched=true, the paper's Sec. 5 extension) are cached
 /// under their own key and dispatch `count` independent problem instances
@@ -64,16 +67,16 @@ struct ServiceConfig {
   int MaxVariants = 16;   ///< variant enumeration budget
   int MeasureRepeats = 9; ///< timed runs per candidate (median taken)
   /// Batched-request codegen strategy (see slingen::BatchStrategy). Auto
-  /// resolves per kernel -- measured (both strategies JIT-compiled and
-  /// timed) whenever a compiler, cycle counter, and host-runnable ISA are
+  /// resolves per kernel -- measured (every strategy compiled as one unit
+  /// and timed) whenever a compiler, cycle counter, and host-runnable ISA are
   /// available, by the static cost model otherwise -- and the resolution
   /// is persisted in the disk tier's .meta, so a warmed shared cache
   /// serves the tuned variant without re-measuring. InstanceParallel
   /// degrades to ScalarLoop on scalar targets. Note that Auto measures
   /// independently of Measure (which governs per-variant tuning): a
-  /// batched cache miss costs two extra JIT compiles plus a short timing
-  /// loop; pin ScalarLoop or InstanceParallel to avoid that on miss-heavy
-  /// workloads.
+  /// batched cache miss compiles the larger strategies unit (still one
+  /// compile, which ships) plus a short timing loop; pin a strategy to
+  /// compile only its own emission on miss-heavy workloads.
   BatchStrategy Strategy = BatchStrategy::Auto;
   /// Batched dispatch width policy. 0 (auto): a batched Auto-strategy miss
   /// also measures single-threaded versus multicore dispatch (see
@@ -156,7 +159,9 @@ struct ServiceStats {
   long Misses = 0;       ///< neither tier had the key
   long FlightJoins = 0;  ///< requests that piggybacked on an in-flight miss
   long Generations = 0;  ///< times the generator pipeline actually ran
-  long Compilations = 0; ///< C compiler invocations for served artifacts
+  /// C compiler runs the service started: tuning units, compiles of
+  /// untuned artifacts, and disk-tier recompiles.
+  long Compilations = 0;
   long TunerRuns = 0;    ///< measured-tuning sessions
   long Evictions = 0;    ///< memory-tier LRU evictions
   long Errors = 0;       ///< failed requests
@@ -191,9 +196,9 @@ struct RequestTiming {
   long CacheUs = 0;   ///< memory-tier lookup (under the flight lock)
   long WaitUs = 0;    ///< single-flight wait for the leader's result
   long DiskUs = 0;    ///< disk-tier probe + load (+ recompile if stale .so)
-  long GenUs = 0;     ///< generator pipeline incl. measured variant tuning
-  long TuneUs = 0;    ///< batch-strategy resolution (Auto measurement)
-  long CompileUs = 0; ///< C compiler invocations
+  long GenUs = 0;     ///< generator pipeline: variants, verify, emission
+  long TuneUs = 0;    ///< tuner candidate timing (variants and strategies)
+  long CompileUs = 0; ///< C compiler runs, tuning units included
   long TotalUs = 0;   ///< whole get(), end to end
 };
 

@@ -6,15 +6,18 @@
 
 #include "service/Tuner.h"
 
+#include "cir/CEmitter.h"
 #include "expr/Operand.h"
 #include "isa/ISA.h"
 #include "obs/Trace.h"
 #include "runtime/BatchPool.h"
 #include "runtime/Jit.h"
 #include "support/AlignedBuffer.h"
+#include "support/Format.h"
 #include "support/Random.h"
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 using namespace slingen;
@@ -110,6 +113,38 @@ struct BatchBuffers {
   }
 };
 
+/// Compiles the tuning unit \p U (Source and FuncName set) once, with
+/// \p More as further entry prefixes, through the artifact's compile path.
+/// Returns false (CompileErr set) when the compiler rejects it.
+bool compileUnit(TuningUnit &U, int NumParams, const TuneOptions &T,
+                 bool Batched, std::vector<std::string> More) {
+  runtime::CompileOptions CO;
+  CO.ExtraFlags = T.ExtraFlags;
+  CO.KeepSoPath = T.KeepSoPath;
+  CO.WithBatchEntry = Batched;
+  CO.MoreEntries = std::move(More);
+  ++U.Compiles;
+  obs::ScopedSpan Cc("compile", "tuner");
+  auto K = runtime::JitKernel::compile(U.Source, U.FuncName, NumParams, CO,
+                                       U.CompileErr);
+  U.CompileUs += Cc.finish();
+  if (!K)
+    return false;
+  U.Kernel = std::make_shared<runtime::JitKernel>(std::move(*K));
+  return true;
+}
+
+/// Median cycles of \p Run under \p T, with the wall time added to
+/// \p U.MeasureUs.
+double timeCandidate(TuningUnit &U, const TuneOptions &T,
+                     const std::function<void()> &Run) {
+  obs::ScopedSpan Meas("tuner-measure", "tuner",
+                       &obs::Registry::global().histogram("tuner.measure.us"));
+  double Median = runtime::measureCycles(Run, T.Measure).Median;
+  U.MeasureUs += Meas.finish();
+  return Median;
+}
+
 } // namespace
 
 BatchChoice service::chooseBatchStrategy(const GenResult &R,
@@ -120,64 +155,69 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
   BatchChoice C;
   C.Threads = ThreadsPolicy >= 1 ? ThreadsPolicy : 1;
   const int Nu = O.Isa->Nu;
-  if (Nu < 2)
-    return C; // no lanes to parallelize across
-
-  // Static cost model: one AoSoA block amortizes the widened kernel (same
-  // instruction count as the scalar kernel, vector-width issue) over Nu
-  // instances. The packed form pays two layout transposes per element; the
-  // fused form pays no transposes but its gathers/scatters touch elements
-  // one lane at a time, modeled as a fraction of a cycle per element.
-  // Compare per instance against the scalar-loop estimate.
-  long SumElems = 0;
-  for (const Operand *P : R.Func.Params)
-    SumElems += static_cast<long>(P->Rows) * P->Cols;
-  std::optional<ScalarRecompile> Scalar = recompileScalar(R, &O);
-  if (!Scalar)
-    return C; // widening infeasible: the loop is the only strategy
-  long LoopPerInst = staticCost(R.Func);
-  long WidePerInst = staticCost(Scalar->Func) / Nu;
-  long VecPerInst = WidePerInst + 2 * SumElems;
-  long FusedPerInst = WidePerInst + SumElems / 2;
-  C.Strategy = BatchStrategy::ScalarLoop;
-  if (FusedPerInst < LoopPerInst || VecPerInst < LoopPerInst)
-    C.Strategy = FusedPerInst <= VecPerInst
-                     ? BatchStrategy::InstanceParallelFused
-                     : BatchStrategy::InstanceParallel;
-
-  // The fused emission doubles as the widening-feasibility probe (both
-  // instance-parallel forms share the Widener's constraints): if it falls
-  // back to the scalar loop there is only one strategy to serve. The
-  // ScalarRecompile above is reused so Stage 2/3 runs once, not three
-  // times. The packed emission is deferred until measurement actually
-  // needs it -- the static model never prefers it over fused (same widened
-  // cost, strictly more layout traffic), so unmeasurable paths skip that
-  // emission entirely.
-  bool UsedVector = false;
-  std::string FusedSource =
-      emitBatchedVectorFusedC(R, &O, &UsedVector, &*Scalar);
-  if (!UsedVector) {
-    C.Strategy = BatchStrategy::ScalarLoop;
-    return C;
-  }
-  std::string VecSource;
-
-  auto TakeWinner = [&]() {
-    if (C.Strategy == BatchStrategy::InstanceParallel)
-      C.ChosenSource = std::move(VecSource);
-    else if (C.Strategy == BatchStrategy::InstanceParallelFused)
-      C.ChosenSource = std::move(FusedSource);
-  };
-
   // Measure when possible; running a wider ISA than the host executes
   // would fault, not measure.
-  if (!AllowCompile || !runtime::haveSystemCompiler() ||
-      !runtime::haveCycleCounter() || Nu > hostIsa().Nu) {
-    TakeWinner();
-    return C;
+  const bool CanMeasure = AllowCompile && runtime::haveSystemCompiler() &&
+                          runtime::haveCycleCounter() && Nu <= hostIsa().Nu;
+
+  // One scalar recompile feeds every widening printed below. The fused
+  // widening doubles as the feasibility probe (both instance-parallel
+  // forms share the Widener's constraints): without it there is only the
+  // scalar loop to serve. The packed widening is only built to be
+  // measured -- the static model never prefers it over fused (same
+  // widened cost, strictly more layout traffic).
+  std::optional<WidenedKernels> W;
+  if (Nu >= 2)
+    W = widenKernels(R, &O, /*Vec=*/CanMeasure, /*Fused=*/true);
+  if (W && !W->supports(BatchStrategy::InstanceParallelFused))
+    W.reset();
+
+  // Static cost model: one block amortizes the widened kernel (same
+  // instruction count as the scalar kernel, vector-width issue) over Nu
+  // instances; the fused form's gathers/scatters touch elements one lane
+  // at a time, modeled as a fraction of a cycle per element. Compare per
+  // instance against the scalar-loop estimate.
+  std::vector<BatchStrategy> Cands = {BatchStrategy::ScalarLoop};
+  if (W) {
+    long SumElems = 0;
+    for (const Operand *P : R.Func.Params)
+      SumElems += static_cast<long>(P->Rows) * P->Cols;
+    long FusedPerInst = staticCost(W->Scalar.Func) / Nu + SumElems / 2;
+    if (FusedPerInst < staticCost(R.Func))
+      C.Strategy = BatchStrategy::InstanceParallelFused;
+    if (W->supports(BatchStrategy::InstanceParallel))
+      Cands.push_back(BatchStrategy::InstanceParallel);
+    Cands.push_back(BatchStrategy::InstanceParallelFused);
+  }
+  const WidenedKernels *WP = W ? &*W : nullptr;
+  // What ships when nothing was measured: the static choice's own
+  // emission, for the caller to compile.
+  auto KeepStatic = [&] {
+    C.Unit.Kernel.reset();
+    C.Unit.Source = emitBatchUnit(R, {C.Strategy}, WP);
+    C.Unit.FuncName = R.Func.Name;
+    return std::move(C);
+  };
+  if (!CanMeasure || Cands.size() < 2) {
+    C.Rejected = verifyKernels(
+        R, C.Strategy == BatchStrategy::ScalarLoop ? nullptr : WP);
+    return C.Rejected ? C : KeepStatic();
   }
 
-  VecSource = emitBatchedVectorC(R, &O, &UsedVector, &*Scalar);
+  // The tuning unit: every candidate, each verified before the one
+  // compile, under its batchCandidateName prefix.
+  if ((C.Rejected = verifyKernels(R, WP)))
+    return C;
+  std::vector<std::string> Names;
+  for (BatchStrategy S : Cands)
+    Names.push_back(batchCandidateName(R.Func.Name, S));
+  C.Unit.Source = emitBatchUnit(R, Cands, WP);
+  C.Unit.FuncName = Names.front();
+  const int NumParams = static_cast<int>(R.Func.Params.size());
+  if (!compileUnit(C.Unit, NumParams, T, /*Batched=*/true,
+                   {Names.begin() + 1, Names.end()}))
+    return KeepStatic();
+  runtime::JitKernel &K = *C.Unit.Kernel;
 
   // Two probe batches: one divisible by every supported Nu (pure
   // full-block path) and one remainder-heavy (count % Nu == Nu/2, the
@@ -185,58 +225,34 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
   // the sum of the two medians keeps a strategy with a fast block loop but
   // a slow tail from winning on divisible counts alone.
   const int ProbeCounts[2] = {64, 64 + Nu / 2};
-  const std::string FuncName = R.Func.Name;
-  const int NumParams = static_cast<int>(R.Func.Params.size());
-  runtime::CompileOptions CO;
-  CO.ExtraFlags = T.ExtraFlags;
-  CO.WithBatchEntry = true;
-
-  struct Candidate {
-    BatchStrategy Strategy;
-    const std::string *Source;
-    double *CyclesOut;
-    std::optional<runtime::JitKernel> Kernel;
-    double Cycles = 0.0;
-  };
-  std::string LoopSource = emitBatchedC(R);
-  Candidate Cands[] = {
-      {BatchStrategy::ScalarLoop, &LoopSource, &C.LoopCycles, {}, 0.0},
-      {BatchStrategy::InstanceParallel, &VecSource, &C.VecCycles, {}, 0.0},
-      {BatchStrategy::InstanceParallelFused, &FusedSource, &C.FusedCycles,
-       {},
-       0.0},
-  };
-  Candidate *Best = nullptr;
-  for (Candidate &Cand : Cands) {
+  int Best = -1;
+  double BestCycles = 0.0;
+  for (size_t I = 0; I < Cands.size(); ++I) {
     std::string Err;
-    Cand.Kernel = runtime::JitKernel::compile(*Cand.Source, FuncName,
-                                              NumParams, CO, Err);
-    if (!Cand.Kernel)
+    if (!K.bind(Names[I], Err))
       continue;
-    obs::ScopedSpan Meas(
-        "tuner-measure", "tuner",
-        &obs::Registry::global().histogram("tuner.measure.us"));
     double Sum = 0.0;
     for (int Count : ProbeCounts) {
       BatchBuffers B(R, Count);
-      runtime::Measurement M = runtime::measureCycles(
-          [&] {
-            B.refill();
-            Cand.Kernel->callBatch(Count, B.Bufs.data());
-          },
-          T.Measure);
-      Sum += M.Median;
+      Sum += timeCandidate(C.Unit, T, [&] {
+        B.refill();
+        K.callBatch(Count, B.Bufs.data());
+      });
     }
-    Cand.Cycles = *Cand.CyclesOut = Sum;
-    if (!Best || Cand.Cycles < Best->Cycles)
-      Best = &Cand;
+    (Cands[I] == BatchStrategy::ScalarLoop         ? C.LoopCycles
+     : Cands[I] == BatchStrategy::InstanceParallel ? C.VecCycles
+                                                   : C.FusedCycles) = Sum;
+    if (Best < 0 || Sum < BestCycles) {
+      Best = static_cast<int>(I);
+      BestCycles = Sum;
+    }
   }
-  if (!Best) {
-    TakeWinner();
-    return C; // nothing compiled: keep the static choice
-  }
+  std::string Err;
+  if (Best < 0 || !K.bind(Names[Best], Err))
+    return KeepStatic();
   C.Measured = true;
-  C.Strategy = Best->Strategy;
+  C.Strategy = Cands[Best];
+  C.Unit.FuncName = Names[Best];
 
   // Thread resolution (auto policy only): re-time the winner over a batch
   // large enough to amortize a pool wakeup, single-threaded versus spread
@@ -244,41 +260,35 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
   // policies skip this -- the caller already decided.
   if (ThreadsPolicy == 0) {
     const int N = runtime::defaultBatchThreads();
-    if (N > 1 && Best->Kernel->hasBatchSpan()) {
+    if (N > 1 && K.hasBatchSpan()) {
       // Large enough to amortize the pool wakeup, plus a ragged tail so
       // the threaded timing includes the masked remainder block.
       const int CountMT = 64 * Nu + Nu / 2;
       BatchBuffers B(R, CountMT);
-      obs::ScopedSpan Meas(
-          "tuner-measure", "tuner",
-          &obs::Registry::global().histogram("tuner.measure.us"));
-      runtime::Measurement Single = runtime::measureCycles(
-          [&] {
-            B.refill();
-            Best->Kernel->callBatch(CountMT, B.Bufs.data());
-          },
-          T.Measure);
-      runtime::Measurement Threaded = runtime::measureCycles(
-          [&] {
-            B.refill();
-            runtime::callBatchParallel(*Best->Kernel, CountMT,
-                                       B.Bufs.data(), Nu, N);
-          },
-          T.Measure);
+      C.SingleCycles = timeCandidate(C.Unit, T, [&] {
+        B.refill();
+        K.callBatch(CountMT, B.Bufs.data());
+      });
+      C.ThreadedCycles = timeCandidate(C.Unit, T, [&] {
+        B.refill();
+        runtime::callBatchParallel(K, CountMT, B.Bufs.data(), Nu, N);
+      });
       C.ThreadsMeasured = true;
-      C.SingleCycles = Single.Median;
-      C.ThreadedCycles = Threaded.Median;
-      C.Threads = Threaded.Median < Single.Median ? N : 1;
+      C.Threads = C.ThreadedCycles < C.SingleCycles ? N : 1;
     }
   }
-  TakeWinner();
   return C;
 }
 
 std::optional<TuneResult> service::tuneKernel(const Generator &G,
                                               const TuneOptions &T,
                                               std::string &Err) {
-  std::vector<GenResult> All = G.enumerate(T.MaxVariants);
+  return tuneVariants(G.enumerate(T.MaxVariants), T, Err);
+}
+
+std::optional<TuneResult> service::tuneVariants(std::vector<GenResult> All,
+                                                const TuneOptions &T,
+                                                std::string &Err) {
   if (All.empty()) {
     Err = "no feasible variant";
     return std::nullopt;
@@ -289,49 +299,66 @@ std::optional<TuneResult> service::tuneKernel(const Generator &G,
   // cannot compile, cannot time, or the target ISA is wider than the host
   // can execute -- running such a candidate would fault, not measure.
   if (!runtime::haveSystemCompiler() || !runtime::haveCycleCounter() ||
-      G.options().Isa->Nu > hostIsa().Nu) {
+      All.front().Func.Nu > hostIsa().Nu) {
     Best.Result = std::move(All.front());
     return Best;
   }
 
-  int TopK = std::min<int>(std::max(T.TopK, 1), static_cast<int>(All.size()));
+  // The tuning unit: the top-K variants under `<name>_v<i>`, each verified
+  // before the one compile.
+  const int TopK =
+      std::min<int>(std::max(T.TopK, 1), static_cast<int>(All.size()));
+  const std::string Base = All.front().Func.Name;
+  std::vector<const cir::Function *> Fs;
+  std::vector<std::string> Names;
+  for (int I = 0; I < TopK; ++I) {
+    if (TopK > 1)
+      All[I].Func.Name = formatf("%s_v%d", Base.c_str(), I);
+    Names.push_back(All[I].Func.Name);
+    Fs.push_back(&All[I].Func);
+    if (!Best.Rejected)
+      Best.Rejected = cir::verifyFirst(All[I].Func);
+  }
+  auto Finish = [&](int Idx) -> std::optional<TuneResult> {
+    for (int I = 0; I < TopK; ++I)
+      All[I].Func.Name = Base;
+    Best.Result = std::move(All[Idx]);
+    return std::move(Best);
+  };
+  if (Best.Rejected)
+    return Finish(0);
+  Best.Unit.Source = cir::emitTranslationUnit(Fs);
+  Best.Unit.FuncName = Names.front();
+  if (!compileUnit(Best.Unit, static_cast<int>(All[0].Func.Params.size()),
+                   T, /*Batched=*/false, {Names.begin() + 1, Names.end()})) {
+    // The unit failed to compile (e.g. cross-ISA flags the local compiler
+    // rejects): fall back to the static ranking rather than fail.
+    Err = Best.Unit.CompileErr;
+    return Finish(0);
+  }
+  runtime::JitKernel &K = *Best.Unit.Kernel;
   int BestIdx = -1;
   double BestCycles = 0.0;
-  std::string LastCompileErr;
   for (int I = 0; I < TopK; ++I) {
-    std::string C = emitC(All[I]);
-    std::string CompileErr;
-    auto K = runtime::JitKernel::compile(
-        C, All[I].Func.Name, static_cast<int>(All[I].Func.Params.size()),
-        CompileErr, T.ExtraFlags);
-    if (!K) {
-      LastCompileErr = CompileErr;
+    if (!K.bind(Names[I], Err))
       continue;
-    }
     ++Best.CandidatesMeasured;
     std::vector<AlignedBuffer> Store;
     std::vector<double *> Bufs;
     fillBuffers(All[I], Store, Bufs);
-    obs::ScopedSpan Meas(
-        "tuner-measure", "tuner",
-        &obs::Registry::global().histogram("tuner.measure.us"));
-    runtime::Measurement M = runtime::measureCycles(
-        [&] { K->call(Bufs.data()); }, T.Measure);
-    if (BestIdx < 0 || M.Median < BestCycles) {
+    double Median =
+        timeCandidate(Best.Unit, T, [&] { K.call(Bufs.data()); });
+    if (BestIdx < 0 || Median < BestCycles) {
       BestIdx = I;
-      BestCycles = M.Median;
+      BestCycles = Median;
     }
   }
-
-  if (BestIdx < 0) {
-    // Every candidate failed to compile (e.g. cross-ISA flags the local
-    // compiler rejects): fall back to the static ranking rather than fail.
-    Err = LastCompileErr;
-    Best.Result = std::move(All.front());
-    return Best;
+  if (BestIdx < 0 || !K.bind(Names[BestIdx], Err)) {
+    Best.Unit.Kernel.reset();
+    return Finish(0);
   }
-  Best.Result = std::move(All[BestIdx]);
+  Best.Unit.FuncName = Names[BestIdx];
   Best.Measured = true;
   Best.MedianCycles = BestCycles;
-  return Best;
+  return Finish(BestIdx);
 }

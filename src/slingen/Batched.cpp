@@ -17,7 +17,10 @@
 // see cir/Widen.h) so odd counts never drop out of vector code. Every
 // strategy also emits the
 // `<name>_batch_span(int start, int count, ...)` sub-range entry the
-// runtime batch thread pool dispatches blocks through.
+// runtime batch thread pool dispatches blocks through. A tuning unit holds
+// several strategies in one translation unit: the single-instance kernel
+// and the widened block kernels once, each strategy's entry points under
+// its own `<name>_<strategy>` prefix.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +31,8 @@
 #include "cir/Verify.h"
 #include "cir/Widen.h"
 #include "support/Format.h"
+
+#include <cassert>
 
 using namespace slingen;
 
@@ -80,9 +85,9 @@ std::string strideDecls(const cir::Function &F) {
   return C;
 }
 
-/// The shared `<name>_batch` signature plus the stride constants.
-std::string batchHeader(const cir::Function &F) {
-  std::string C = "\nvoid " + F.Name + "_batch(int count";
+/// The `<P>_batch` signature plus the stride constants.
+std::string batchHeader(const cir::Function &F, const std::string &P) {
+  std::string C = "\nvoid " + P + "_batch(int count";
   for (size_t I = 0; I < F.Params.size(); ++I)
     C += ", " + batchParamDecl(F, I);
   C += ") {\n";
@@ -99,38 +104,120 @@ std::string scalarCall(const cir::Function &F, const char *Idx) {
   return C + ")";
 }
 
-/// `<name>_batch_span(int start, int count, ...)`: the sub-range entry the
+/// `<P>_batch_span(int start, int count, ...)`: the sub-range entry the
 /// batch thread pool calls -- instances [start, start+count) of the batch,
-/// forwarded to `<name>_batch` at per-parameter offsets. Every strategy
-/// emits it, so a shared object supports threaded dispatch regardless of
-/// which emission won.
-std::string batchSpan(const cir::Function &F) {
-  std::string C = "void " + F.Name + "_batch_span(int start, int count";
+/// forwarded to `<P>_batch` at per-parameter offsets. Every strategy emits
+/// it, so a shared object supports threaded dispatch regardless of which
+/// emission won.
+std::string batchSpan(const cir::Function &F, const std::string &P) {
+  std::string C = "void " + P + "_batch_span(int start, int count";
   for (size_t I = 0; I < F.Params.size(); ++I)
     C += ", " + batchParamDecl(F, I);
   C += ") {\n";
   C += strideDecls(F);
-  C += "  " + F.Name + "_batch(count";
+  C += "  " + P + "_batch(count";
   for (size_t I = 0; I < F.Params.size(); ++I)
     C += formatf(", %s + (long)start * s_%zu", F.Params[I]->Name.c_str(), I);
   C += ");\n}\n";
   return C;
 }
 
-} // namespace
+/// `<P>_batch` and `<P>_batch_span` for strategy \p S around the
+/// single-instance kernel F, calling W's widened kernels (all printed
+/// earlier in the unit).
+std::string batchBody(const cir::Function &F, const std::string &P,
+                      BatchStrategy S, const WidenedKernels *W) {
+  const int Nu = F.Nu;
+  std::string C;
+  if (S == BatchStrategy::ScalarLoop) {
+    C += batchHeader(F, P);
+    C += "  for (int b = 0; b < count; ++b)\n    " + scalarCall(F, "b") +
+         ";\n}\n";
+    return C + batchSpan(F, P);
+  }
+  if (S == BatchStrategy::InstanceParallelFused) {
+    // No scratch, no transposes: the block kernel (lane l of every vector
+    // register holds instance b*Nu + l, element e of lane l at offset
+    // l*s_i + e, gathered/scattered by the strided accesses) is handed the
+    // block base pointers of the caller's buffers directly. Block bases
+    // are kept in running pointers bumped by the (hoisted, constant) block
+    // strides so the loop body carries no per-iteration multiplies, and
+    // the count % Nu remainder is one masked block call instead of a
+    // scalar loop.
+    C += batchHeader(F, P);
+    for (size_t I = 0; I < F.Params.size(); ++I) {
+      bool Writable = F.ParamWritable.empty() || F.ParamWritable[I];
+      C += formatf("  %sdouble *bp_%zu = %s;\n", Writable ? "" : "const ", I,
+                   F.Params[I]->Name.c_str());
+    }
+    C += "  int b = 0;\n";
+    C += formatf("  for (; b + %d <= count; b += %d) {\n", Nu, Nu);
+    C += "    " + W->Fused->Func.Name + "(";
+    for (size_t I = 0; I < F.Params.size(); ++I)
+      C += formatf("%sbp_%zu", I ? ", " : "", I);
+    C += ");\n";
+    for (size_t I = 0; I < F.Params.size(); ++I)
+      C += formatf("    bp_%zu += %d * s_%zu;\n", I, Nu, I);
+    C += "  }\n";
+    C += "  if (b < count)\n";
+    C += "    " + W->FusedTail->Func.Name + "(";
+    for (size_t I = 0; I < F.Params.size(); ++I)
+      C += formatf("%sbp_%zu", I ? ", " : "", I);
+    C += formatf("%scount - b);\n", F.Params.empty() ? "" : ", ");
+    C += "}\n";
+    return C + batchSpan(F, P);
+  }
 
-std::string slingen::emitBatchedC(const GenResult &R) {
-  const cir::Function &F = R.Func;
-  std::string C = cir::emitTranslationUnit(F);
-  C += batchHeader(F);
-  C += "  for (int b = 0; b < count; ++b)\n    " + scalarCall(F, "b") +
-       ";\n}\n";
-  C += batchSpan(F);
-  return C;
+  // Packed: the block kernel's operands are AoSoA blocks (element e of
+  // lane l at offset e*Nu + l). Layout-transpose helpers between the batch
+  // ABI (count contiguous instances per parameter) and one block of Nu
+  // instances bracket each block call.
+  C += formatf("static void %s_aosoa_pack(const double *__restrict src, "
+               "double *__restrict dst, long n) {\n"
+               "  for (long e = 0; e < n; ++e)\n"
+               "    for (int l = 0; l < %d; ++l)\n"
+               "      dst[e * %d + l] = src[l * n + e];\n"
+               "}\n",
+               P.c_str(), Nu, Nu);
+  C += formatf("static void %s_aosoa_unpack(const double *__restrict src, "
+               "double *__restrict dst, long n) {\n"
+               "  for (long e = 0; e < n; ++e)\n"
+               "    for (int l = 0; l < %d; ++l)\n"
+               "      dst[l * n + e] = src[e * %d + l];\n"
+               "}\n",
+               P.c_str(), Nu, Nu);
+  C += batchHeader(F, P);
+  for (size_t I = 0; I < F.Params.size(); ++I)
+    C += formatf("  double blk_%zu[%ld] __attribute__((aligned(64)));\n", I,
+                 paramSize(F, I) * Nu);
+  C += "  int b = 0;\n";
+  C += formatf("  for (; b + %d <= count; b += %d) {\n", Nu, Nu);
+  // Pack every parameter: inputs obviously; outputs too, so elements the
+  // kernel leaves untouched round-trip unchanged, exactly as in the
+  // scalar-loop strategy. This makes output buffers part of the *read*
+  // set under this strategy (documented in README "Batched execution").
+  for (size_t I = 0; I < F.Params.size(); ++I)
+    C += formatf("    %s_aosoa_pack(%s + b * s_%zu, blk_%zu, s_%zu);\n",
+                 P.c_str(), F.Params[I]->Name.c_str(), I, I, I);
+  C += "    " + W->Vec->Func.Name + "(";
+  for (size_t I = 0; I < F.Params.size(); ++I)
+    C += formatf("%sblk_%zu", I ? ", " : "", I);
+  C += ");\n";
+  for (size_t I = 0; I < F.Params.size(); ++I) {
+    bool Writable = F.ParamWritable.empty() || F.ParamWritable[I];
+    if (Writable)
+      C += formatf("    %s_aosoa_unpack(blk_%zu, %s + b * s_%zu, s_%zu);\n",
+                   P.c_str(), I, F.Params[I]->Name.c_str(), I, I);
+  }
+  C += "  }\n";
+  C += "  for (; b < count; ++b)\n    " + scalarCall(F, "b") + ";\n}\n";
+  return C + batchSpan(F, P);
 }
 
-std::optional<ScalarRecompile>
-slingen::recompileScalar(const GenResult &R, const GenOptions *Opts) {
+/// The scalar (nu = 1) re-compilation of \p R.Basic the wideners consume
+/// (see widenKernels).
+std::optional<ScalarRecompile> recompileScalar(const GenResult &R,
+                                               const GenOptions *Opts) {
   ScalarRecompile S;
   S.Basic = R.Basic.clone();
   GenOptions O;
@@ -149,209 +236,152 @@ slingen::recompileScalar(const GenResult &R, const GenOptions *Opts) {
   return S;
 }
 
-namespace {
+} // namespace
 
-/// Shared driver for the two instance-parallel emissions; \p Fused selects
-/// the lane-strided (transpose-free) layout.
-std::string emitInstanceParallel(const GenResult &R, const GenOptions *Opts,
-                                 bool *UsedVector, const ScalarRecompile *Pre,
-                                 bool Fused) {
-  if (UsedVector)
-    *UsedVector = false;
-  const cir::Function &F = R.Func;
-  const int Nu = F.Nu;
-  if (Nu < 2)
-    return emitBatchedC(R); // scalar target: no lanes to parallelize across
-  std::optional<ScalarRecompile> Own;
-  if (!Pre) {
-    Own = recompileScalar(R, Opts);
-    if (!Own)
-      return emitBatchedC(R);
-    Pre = &*Own;
+bool WidenedKernels::supports(BatchStrategy S) const {
+  switch (S) {
+  case BatchStrategy::InstanceParallel:
+    return Vec.has_value();
+  case BatchStrategy::InstanceParallelFused:
+    return Fused && FusedTail;
+  default:
+    return S == BatchStrategy::ScalarLoop;
   }
-  std::optional<cir::WidenedFunction> W =
-      Fused ? cir::widenAcrossInstancesFused(Pre->Func, Nu,
-                                             F.Name + "_fusedblk")
-            : cir::widenAcrossInstances(Pre->Func, Nu, F.Name + "_vecblk");
-  if (!W)
-    return emitBatchedC(R);
-  // Fused also gets the runtime-masked tail kernel: one widened block that
-  // executes exactly the first `active_` lanes' instances, replacing the
-  // old per-instance scalar remainder loop for count % Nu.
-  std::optional<cir::WidenedFunction> WTail =
-      Fused ? cir::widenAcrossInstancesFusedMasked(Pre->Func, Nu,
-                                                   F.Name + "_fusedtail")
-            : std::nullopt;
-  if (Fused && !WTail)
-    return emitBatchedC(R);
-  if (UsedVector)
-    *UsedVector = true;
+}
 
+std::optional<WidenedKernels> slingen::widenKernels(const GenResult &R,
+                                                    const GenOptions *Opts,
+                                                    bool Vec, bool Fused) {
+  const int Nu = R.Func.Nu;
+  if (Nu < 2)
+    return std::nullopt; // scalar target: no lanes to parallelize across
+  std::optional<ScalarRecompile> Scalar = recompileScalar(R, Opts);
+  if (!Scalar)
+    return std::nullopt;
+  WidenedKernels W{std::move(*Scalar), {}, {}, {}};
+  const cir::Function &SF = W.Scalar.Func;
+  const std::string &N = R.Func.Name;
+  if (Vec)
+    W.Vec = cir::widenAcrossInstances(SF, Nu, N + "_vecblk");
+  if (Fused) {
+    // The fused block kernel plus its runtime-masked tail: one widened
+    // block that executes exactly the first `active_` lanes' instances,
+    // so count % Nu never drops out of vector code.
+    W.Fused = cir::widenAcrossInstancesFused(SF, Nu, N + "_fusedblk");
+    W.FusedTail =
+        cir::widenAcrossInstancesFusedMasked(SF, Nu, N + "_fusedtail");
+  }
   // Contract mul+add chains into hardware FMAs on ISAs that have them
   // (Nu >= 4: AVX/AVX-512). Applied identically to every widened variant so
   // tail lanes stay bit-identical to full-block lanes; never applied inside
   // the wideners themselves, keeping the hermetic widen-vs-scalar
   // interpreter tests exact.
-  if (Nu >= 4) {
-    cir::contractFma(W->Func);
-    if (WTail)
-      cir::contractFma(WTail->Func);
-  }
-  // Last IR-producing step before C emission: check the variants exactly as
-  // they will be lowered.
-  cir::verifyAssert(W->Func, "batched-widen");
-  if (WTail)
-    cir::verifyAssert(WTail->Func, "batched-widen-tail");
+  if (Nu >= 4)
+    for (auto *WF : {&W.Vec, &W.Fused, &W.FusedTail})
+      if (*WF)
+        cir::contractFma((*WF)->Func);
+  return W;
+}
 
-  std::string C;
-  C += "#include <math.h>\n";
-  C += "#include <immintrin.h>\n\n";
-  // The single-instance kernel: serves plain calls and the remainder loop.
-  C += cir::emitFunctionSplit(F, /*MaxInstsPerPart=*/1 << 14);
-  C += "\n";
-  // The instance-parallel block kernel: lane l of every vector register
-  // holds instance b*Nu + l. Packed layout: operands are AoSoA blocks
-  // (element e of lane l at offset e*Nu + l). Fused layout: operands are
-  // the caller's batch buffers at the block base (element e of lane l at
-  // offset l*s_i + e, gathered/scattered by the strided accesses).
-  C += cir::emitFunctionSplit(W->Func, /*MaxInstsPerPart=*/1 << 14);
-  C += "\n";
-  if (WTail) {
-    C += cir::emitFunctionSplit(WTail->Func, /*MaxInstsPerPart=*/1 << 14);
-    C += "\n";
-  }
+std::optional<cir::VerifyError>
+slingen::verifyKernels(const GenResult &R, const WidenedKernels *W) {
+  if (auto E = cir::verifyFirst(R.Func))
+    return E;
+  if (!W)
+    return std::nullopt;
+  if (auto E = cir::verifyFirst(W->Scalar.Func))
+    return E;
+  for (auto *WF : {&W->Vec, &W->Fused, &W->FusedTail})
+    if (*WF)
+      if (auto E = cir::verifyFirst((*WF)->Func))
+        return E;
+  return std::nullopt;
+}
 
-  if (!Fused) {
-    // Layout-transpose helpers between the batch ABI (count contiguous
-    // instances per parameter) and one AoSoA block of Nu instances.
-    C += formatf("static void %s_aosoa_pack(const double *__restrict src, "
-                 "double *__restrict dst, long n) {\n"
-                 "  for (long e = 0; e < n; ++e)\n"
-                 "    for (int l = 0; l < %d; ++l)\n"
-                 "      dst[e * %d + l] = src[l * n + e];\n"
-                 "}\n",
-                 F.Name.c_str(), Nu, Nu);
-    C += formatf("static void %s_aosoa_unpack(const double *__restrict src, "
-                 "double *__restrict dst, long n) {\n"
-                 "  for (long e = 0; e < n; ++e)\n"
-                 "    for (int l = 0; l < %d; ++l)\n"
-                 "      dst[l * n + e] = src[e * %d + l];\n"
-                 "}\n",
-                 F.Name.c_str(), Nu, Nu);
-  }
+std::string slingen::batchCandidateName(const std::string &FuncName,
+                                        BatchStrategy S) {
+  return FuncName + "_" + batchStrategyName(S);
+}
 
-  C += batchHeader(F);
-  if (Fused) {
-    // No scratch, no transposes: the block kernel is handed the block base
-    // pointers of the caller's buffers directly. Block bases are kept in
-    // running pointers bumped by the (hoisted, constant) block strides so
-    // the loop body carries no per-iteration multiplies, and the count % Nu
-    // remainder is one masked block call instead of a scalar loop.
-    for (size_t I = 0; I < F.Params.size(); ++I) {
-      bool Writable = F.ParamWritable.empty() || F.ParamWritable[I];
-      C += formatf("  %sdouble *bp_%zu = %s;\n", Writable ? "" : "const ", I,
-                   F.Params[I]->Name.c_str());
+std::string slingen::emitBatchUnit(const GenResult &R,
+                                   const std::vector<BatchStrategy> &Ss,
+                                   const WidenedKernels *W) {
+  const cir::Function &F = R.Func;
+  std::vector<const cir::Function *> Fs = {&F};
+  for (BatchStrategy S : Ss) {
+    assert((S == BatchStrategy::ScalarLoop || (W && W->supports(S))) &&
+           "strategy without its widened kernels");
+    if (S == BatchStrategy::InstanceParallel)
+      Fs.push_back(&W->Vec->Func);
+    if (S == BatchStrategy::InstanceParallelFused) {
+      Fs.push_back(&W->Fused->Func);
+      Fs.push_back(&W->FusedTail->Func);
     }
-    C += "  int b = 0;\n";
-    C += formatf("  for (; b + %d <= count; b += %d) {\n", Nu, Nu);
-    C += "    " + W->Func.Name + "(";
-    for (size_t I = 0; I < F.Params.size(); ++I)
-      C += formatf("%sbp_%zu", I ? ", " : "", I);
-    C += ");\n";
-    for (size_t I = 0; I < F.Params.size(); ++I)
-      C += formatf("    bp_%zu += %d * s_%zu;\n", I, Nu, I);
-    C += "  }\n";
-    C += "  if (b < count)\n";
-    C += "    " + WTail->Func.Name + "(";
-    for (size_t I = 0; I < F.Params.size(); ++I)
-      C += formatf("%sbp_%zu", I ? ", " : "", I);
-    C += formatf("%scount - b);\n", F.Params.empty() ? "" : ", ");
-    C += "}\n";
-    C += batchSpan(F);
-    return C;
   }
-  for (size_t I = 0; I < F.Params.size(); ++I)
-    C += formatf("  double blk_%zu[%ld] __attribute__((aligned(64)));\n", I,
-                 paramSize(F, I) * Nu);
-  C += "  int b = 0;\n";
-  C += formatf("  for (; b + %d <= count; b += %d) {\n", Nu, Nu);
-  // Pack every parameter: inputs obviously; outputs too, so elements the
-  // kernel leaves untouched round-trip unchanged, exactly as in the
-  // scalar-loop strategy. This makes output buffers part of the *read*
-  // set under this strategy (documented in README "Batched execution").
-  for (size_t I = 0; I < F.Params.size(); ++I)
-    C += formatf("    %s_aosoa_pack(%s + b * s_%zu, blk_%zu, s_%zu);\n",
-                 F.Name.c_str(), F.Params[I]->Name.c_str(), I, I, I);
-  C += "    " + W->Func.Name + "(";
-  for (size_t I = 0; I < F.Params.size(); ++I)
-    C += formatf("%sblk_%zu", I ? ", " : "", I);
-  C += ");\n";
-  for (size_t I = 0; I < F.Params.size(); ++I) {
-    bool Writable = F.ParamWritable.empty() || F.ParamWritable[I];
-    if (Writable)
-      C += formatf("    %s_aosoa_unpack(blk_%zu, %s + b * s_%zu, s_%zu);\n",
-                   F.Name.c_str(), I, F.Params[I]->Name.c_str(), I, I);
+  std::string C = cir::emitTranslationUnit(Fs);
+  for (BatchStrategy S : Ss) {
+    if (Ss.size() == 1) {
+      C += batchBody(F, F.Name, S, W);
+      continue;
+    }
+    // A candidate's own name for the shared single-instance kernel, so
+    // `<candidate>_entry` resolves like the unsuffixed form's.
+    std::string P = batchCandidateName(F.Name, S);
+    C += "\nextern __typeof__(" + F.Name + ") " + P +
+         " __attribute__((alias(\"" + F.Name + "\")));\n";
+    C += batchBody(F, P, S, W);
   }
-  C += "  }\n";
-  C += "  for (; b < count; ++b)\n    " + scalarCall(F, "b") + ";\n}\n";
-  C += batchSpan(F);
   return C;
+}
+
+std::string slingen::emitBatchedC(const GenResult &R) {
+  return emitBatchUnit(R, {BatchStrategy::ScalarLoop}, nullptr);
+}
+
+namespace {
+
+/// One instance-parallel strategy on its own: widen, check, emit -- or the
+/// scalar loop when \p S cannot widen.
+std::string emitInstanceParallel(const GenResult &R, const GenOptions *Opts,
+                                 bool *UsedVector, BatchStrategy S) {
+  bool Fused = S == BatchStrategy::InstanceParallelFused;
+  std::optional<WidenedKernels> W = widenKernels(R, Opts, !Fused, Fused);
+  bool Vector = W && W->supports(S);
+  if (UsedVector)
+    *UsedVector = Vector;
+  if (!Vector)
+    return emitBatchedC(R);
+  for (auto *WF : {&W->Vec, &W->Fused, &W->FusedTail})
+    if (*WF)
+      cir::verifyAssert((*WF)->Func, "batched-widen");
+  return emitBatchUnit(R, {S}, &*W);
 }
 
 } // namespace
 
 std::string slingen::emitBatchedVectorC(const GenResult &R,
                                         const GenOptions *Opts,
-                                        bool *UsedVector,
-                                        const ScalarRecompile *Pre) {
-  return emitInstanceParallel(R, Opts, UsedVector, Pre, /*Fused=*/false);
+                                        bool *UsedVector) {
+  return emitInstanceParallel(R, Opts, UsedVector,
+                              BatchStrategy::InstanceParallel);
 }
 
 std::string slingen::emitBatchedVectorFusedC(const GenResult &R,
                                              const GenOptions *Opts,
-                                             bool *UsedVector,
-                                             const ScalarRecompile *Pre) {
-  return emitInstanceParallel(R, Opts, UsedVector, Pre, /*Fused=*/true);
+                                             bool *UsedVector) {
+  return emitInstanceParallel(R, Opts, UsedVector,
+                              BatchStrategy::InstanceParallelFused);
 }
 
 std::optional<cir::VerifyError>
 slingen::verifyEmittedIR(const GenResult &R, const GenOptions *Opts,
                          bool Batched, BatchStrategy Strategy) {
-  if (auto E = cir::verifyFirst(R.Func))
-    return E;
-  if (!Batched || (Strategy != BatchStrategy::InstanceParallel &&
-                   Strategy != BatchStrategy::InstanceParallelFused))
-    return std::nullopt;
-  const int Nu = R.Func.Nu;
-  if (Nu < 2)
-    return std::nullopt; // emission degrades to the scalar loop
-  std::optional<ScalarRecompile> Pre = recompileScalar(R, Opts);
-  if (!Pre)
-    return std::nullopt; // ditto
-  if (auto E = cir::verifyFirst(Pre->Func))
-    return E;
-  bool Fused = Strategy == BatchStrategy::InstanceParallelFused;
-  std::optional<cir::WidenedFunction> W =
-      Fused ? cir::widenAcrossInstancesFused(Pre->Func, Nu,
-                                             R.Func.Name + "_fusedblk")
-            : cir::widenAcrossInstances(Pre->Func, Nu,
-                                        R.Func.Name + "_vecblk");
-  if (!W)
-    return std::nullopt;
-  if (Nu >= 4)
-    cir::contractFma(W->Func);
-  if (auto E = cir::verifyFirst(W->Func))
-    return E;
-  if (Fused) {
-    std::optional<cir::WidenedFunction> WTail =
-        cir::widenAcrossInstancesFusedMasked(Pre->Func, Nu,
-                                             R.Func.Name + "_fusedtail");
-    if (!WTail)
-      return std::nullopt;
-    if (Nu >= 4)
-      cir::contractFma(WTail->Func);
-    if (auto E = cir::verifyFirst(WTail->Func))
-      return E;
-  }
-  return std::nullopt;
+  bool Vec = Strategy == BatchStrategy::InstanceParallel ||
+             Strategy == BatchStrategy::Auto;
+  bool Fused = Strategy == BatchStrategy::InstanceParallelFused ||
+               Strategy == BatchStrategy::Auto;
+  std::optional<WidenedKernels> W;
+  if (Batched && (Vec || Fused))
+    W = widenKernels(R, Opts, Vec, Fused);
+  return verifyKernels(R, W ? &*W : nullptr);
 }

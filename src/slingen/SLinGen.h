@@ -27,6 +27,7 @@
 
 #include "cir/CIR.h"
 #include "cir/Verify.h"
+#include "cir/Widen.h"
 #include "expr/Program.h"
 #include "flame/Synthesizer.h"
 #include "isa/ISA.h"
@@ -163,12 +164,51 @@ struct ScalarRecompile {
   cir::Function Func;
 };
 
-/// Re-runs Stage 2/3 over a clone of \p R.Basic with the scalar ISA (other
-/// knobs taken from \p Opts when given, defaults otherwise). Returns
-/// std::nullopt when the scalar function's parameters do not line up with
-/// R.Func's (never expected; callers then fall back to ScalarLoop).
-std::optional<ScalarRecompile> recompileScalar(const GenResult &R,
-                                               const GenOptions *Opts = nullptr);
+/// The widened block kernels the instance-parallel strategies print, all
+/// derived from one scalar recompile of a GenResult and FMA-contracted at
+/// Nu >= 4. The emitters print exactly these functions and verifyKernels
+/// checks exactly these functions, so what is verified is what compiles.
+struct WidenedKernels {
+  ScalarRecompile Scalar;
+  std::optional<cir::WidenedFunction> Vec;       ///< `<name>_vecblk`
+  /// `<name>_fusedblk` and its runtime-masked remainder `<name>_fusedtail`.
+  std::optional<cir::WidenedFunction> Fused, FusedTail;
+
+  /// True when \p S can be emitted from these kernels (ScalarLoop always).
+  bool supports(BatchStrategy S) const;
+};
+
+/// Re-runs Stage 2/3 once over a clone of \p R.Basic with the scalar ISA
+/// (other knobs from \p Opts when given, defaults otherwise) and widens
+/// the result for the packed (\p Vec) and/or fused (\p Fused) strategies.
+/// std::nullopt on a scalar target or when the scalar function's
+/// parameters do not line up with R.Func's (never expected; callers then
+/// fall back to ScalarLoop); an infeasible widening stays empty.
+std::optional<WidenedKernels> widenKernels(const GenResult &R,
+                                           const GenOptions *Opts, bool Vec,
+                                           bool Fused);
+
+/// Checks every function a batched emission of \p R prints: R.Func, plus
+/// -- when \p W is given -- its scalar recompile and widened kernels.
+/// Returns the first violation.
+std::optional<cir::VerifyError> verifyKernels(const GenResult &R,
+                                              const WidenedKernels *W);
+
+/// `<name>_<strategy>`: the symbol prefix of strategy \p S in a tuning
+/// unit (see emitBatchUnit).
+std::string batchCandidateName(const std::string &FuncName, BatchStrategy S);
+
+/// One translation unit for \p Strategies over R.Func, printing W's
+/// widened kernels (every strategy but ScalarLoop needs W->supports(S)).
+/// With one strategy the entry points are `<name>_batch` and
+/// `<name>_batch_span`. With several -- a tuning unit -- R.Func and the
+/// widened kernels are printed once, and each strategy gets
+/// `<P>_batch`/`<P>_batch_span` plus an alias `<P>` of R.Func under
+/// P = batchCandidateName(R.Func.Name, S), so a JIT compile with every P
+/// as an entry prefix serves each candidate from one shared object.
+std::string emitBatchUnit(const GenResult &R,
+                          const std::vector<BatchStrategy> &Strategies,
+                          const WidenedKernels *W);
 
 /// InstanceParallel strategy: the kernel's translation unit plus (a) the
 /// kernel re-emitted with every scalar operation widened to R.Func.Nu lanes
@@ -183,13 +223,9 @@ std::optional<ScalarRecompile> recompileScalar(const GenResult &R,
 /// BatchStrategy must downgrade to ScalarLoop when it is false).
 /// \p Opts, when given, supplies the non-ISA codegen knobs for the scalar
 /// re-compilation (pass the options the GenResult was generated under).
-/// \p Pre, when given, is a ScalarRecompile the caller already computed
-/// for this GenResult (the Stage-2/3 re-lowering dominates emission cost,
-/// so callers that need it for other reasons should pass it in).
 std::string emitBatchedVectorC(const GenResult &R,
                                const GenOptions *Opts = nullptr,
-                               bool *UsedVector = nullptr,
-                               const ScalarRecompile *Pre = nullptr);
+                               bool *UsedVector = nullptr);
 
 /// InstanceParallelFused strategy: as emitBatchedVectorC, but the widened
 /// kernel reads and writes the batch ABI directly -- parameter accesses
@@ -200,19 +236,16 @@ std::string emitBatchedVectorC(const GenResult &R,
 /// emitBatchedVectorC.
 std::string emitBatchedVectorFusedC(const GenResult &R,
                                     const GenOptions *Opts = nullptr,
-                                    bool *UsedVector = nullptr,
-                                    const ScalarRecompile *Pre = nullptr);
+                                    bool *UsedVector = nullptr);
 
 /// Statically verifies every cir::Function the emission for \p R compiles:
-/// the single-instance kernel always, plus -- for the instance-parallel
-/// batch strategies -- the widened block variants, re-derived exactly as
-/// the emission derives them (scalar recompile, widening, FMA contraction
-/// at Nu >= 4). Returns the first violation, or std::nullopt when all
-/// functions verify (including when widening is infeasible and the emission
-/// degrades to the scalar loop). The KernelService runs this once before
-/// every JIT compile of freshly generated IR and maps a violation to
-/// Errc::InvalidKernelIR; the cost is a few IR walks, far below the C
-/// compiler invocation it gates.
+/// verifyKernels over widenKernels for \p Strategy's widenings (both for
+/// Auto, whose tuning unit prints both; none unbatched or for ScalarLoop).
+/// Returns the first violation, or std::nullopt when all functions verify
+/// (including when widening is infeasible and the emission degrades to the
+/// scalar loop). The serving path verifies the kernels it prints through
+/// verifyKernels directly; this entry re-derives them for audits such as
+/// `slc -verify-ir`.
 std::optional<cir::VerifyError> verifyEmittedIR(const GenResult &R,
                                                 const GenOptions *Opts,
                                                 bool Batched,

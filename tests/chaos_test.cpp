@@ -398,6 +398,49 @@ TEST_F(Chaos, CorruptIRIsRefusedAsInvalidKernelIR) {
   EXPECT_TRUE(R2) << R2.Error;
 }
 
+TEST_F(Chaos, CorruptIRInATuningUnitIsRefusedBeforeAnyCompile) {
+  if (!runtime::haveSystemCompiler())
+    GTEST_SKIP() << "no system C compiler";
+  // Compiler on: a batched-auto request compiles its strategies unit and
+  // a measured request its variants unit. Both units are verified before
+  // their one compile, so a corrupt candidate never reaches cc -- let
+  // alone runs.
+  service::ServiceConfig SC;
+  SC.MeasureRepeats = 3;
+  service::KernelService Svc(SC);
+  obs::Counter &Jit = obs::Registry::global().counter("runtime.jit-compiles");
+  GenOptions O;
+  O.Isa = &hostIsa();
+  struct Case {
+    const char *Func;
+    bool Batched, Measure;
+  };
+  for (Case C : {Case{"chaos_tu_batch", true, false},
+                 Case{"chaos_tu_measure", false, true}}) {
+    SCOPED_TRACE(C.Func);
+    O.FuncName = C.Func;
+    service::RequestOptions Req;
+    Req.Batched = C.Batched;
+    Req.Measure = C.Measure;
+    const int64_t JitBefore = Jit.value();
+    const long SvcBefore = Svc.stats().Compilations;
+    fault::arm("corrupt-ir", /*Count=*/1);
+    service::GetResult R = Svc.get(la::potrfSource(8), O, Req);
+    fault::reset();
+    EXPECT_FALSE(R);
+    EXPECT_EQ(R.Code, service::Errc::InvalidKernelIR) << R.Error;
+    EXPECT_NE(R.Error.find("bad-register"), std::string::npos) << R.Error;
+    EXPECT_EQ(Jit.value(), JitBefore) << "a corrupt candidate was compiled";
+    EXPECT_EQ(Svc.stats().Compilations, SvcBefore);
+
+    // The service keeps serving: the same request now compiles once.
+    service::GetResult R2 = Svc.get(la::potrfSource(8), O, Req);
+    ASSERT_TRUE(R2) << R2.Error;
+    EXPECT_TRUE(R2->isCallable());
+    EXPECT_EQ(Jit.value(), JitBefore + 1);
+  }
+}
+
 TEST_F(Chaos, CorruptIRTravelsTheWireAsInvalidKernelIR) {
   service::ServiceConfig SC;
   SC.UseCompiler = false;

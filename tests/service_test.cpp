@@ -12,6 +12,7 @@
 
 #include "la/Lower.h"
 #include "la/Programs.h"
+#include "obs/Metrics.h"
 #include "runtime/Timing.h"
 #include "service/KernelService.h"
 #include "support/AlignedBuffer.h"
@@ -26,6 +27,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -540,6 +542,117 @@ TEST(ServiceTuner, MeasuresAndPersistsWinningChoice) {
   EXPECT_TRUE(R2->Measured);
   EXPECT_EQ(R2->Choice, R->Choice);
   EXPECT_NEAR(R2->MeasuredCycles, R->MeasuredCycles, 1e-6);
+}
+
+//===----------------------------------------------------------------------===//
+// One compile per cold request: each tuning stage compiles its candidates
+// as one unit, and the unit that decides the artifact is what ships.
+//===----------------------------------------------------------------------===//
+
+/// C compiler runs a request started, as the service counts them
+/// (stats().Compilations) and as the JIT counts them (every compile in the
+/// process).
+struct CompileDelta {
+  long Service = 0;
+  int64_t Jit = 0;
+};
+
+CompileDelta countCompiles(KernelService &S, const std::function<void()> &Fn) {
+  obs::Counter &Jit = obs::Registry::global().counter("runtime.jit-compiles");
+  CompileDelta D{-S.stats().Compilations, -Jit.value()};
+  Fn();
+  D.Service += S.stats().Compilations;
+  D.Jit += Jit.value();
+  return D;
+}
+
+TEST(ServiceCompiles, OneCompilePerTuningStage) {
+  if (!runtime::haveSystemCompiler() || !runtime::haveCycleCounter())
+    GTEST_SKIP() << "needs a system C compiler and a cycle counter";
+  struct Kind {
+    const char *Func;
+    bool Batched, Measure;
+    int Compiles;
+  };
+  // single 1; batched-auto 1 (loop/vec/fused in one unit); measured 1 (the
+  // top-K variants in one unit); measured+batched 2 (the variants unit,
+  // then the winner's strategies unit, which ships).
+  for (Kind K : {Kind{"cc_single", false, false, 1},
+                 Kind{"cc_batched", true, false, 1},
+                 Kind{"cc_measured", false, true, 1},
+                 Kind{"cc_measured_b", true, true, 2}}) {
+    SCOPED_TRACE(K.Func);
+    TempDir Dir;
+    ServiceConfig C;
+    C.CacheDir = Dir.Path;
+    C.MeasureRepeats = 3;
+    KernelService S(C);
+    RequestOptions Req;
+    Req.Batched = K.Batched;
+    Req.Measure = K.Measure;
+    GetResult R;
+    CompileDelta D = countCompiles(S, [&] {
+      R = S.get(la::potrfSource(8), hostOpts(K.Func), Req);
+    });
+    ASSERT_TRUE(R) << R.Error;
+    EXPECT_TRUE(R->isCallable());
+    EXPECT_EQ(D.Service, K.Compiles);
+    EXPECT_EQ(D.Jit, K.Compiles);
+    // The shipped object is the one at the disk-tier path.
+    EXPECT_EQ(R->Kernel->soPath(), shardedPath(Dir.Path, R->Key, ".so"));
+  }
+}
+
+TEST(ServiceCompiles, BatchedAutoShipsTheObjectItTimed) {
+  if (!runtime::haveSystemCompiler() || !runtime::haveCycleCounter())
+    GTEST_SKIP() << "needs a system C compiler and a cycle counter";
+  if (hostIsa().Nu < 2)
+    GTEST_SKIP() << "scalar host: only the loop strategy, nothing to time";
+  TempDir Dir;
+  ServiceConfig C;
+  C.CacheDir = Dir.Path;
+  C.MeasureRepeats = 3;
+  KernelService S(C);
+  const std::string Name = "cc_timed";
+  GetResult R;
+  CompileDelta D = countCompiles(S, [&] {
+    R = S.get(la::potrfSource(8), hostOpts(Name), /*Batched=*/true);
+  });
+  ASSERT_TRUE(R) << R.Error;
+  EXPECT_EQ(S.stats().TunerRuns, 1) << "the strategy choice was measured";
+  EXPECT_EQ(D.Service, 1);
+  EXPECT_EQ(D.Jit, 1) << "the winner was not recompiled";
+  const std::string So = shardedPath(Dir.Path, R->Key, ".so");
+  EXPECT_EQ(R->Kernel->soPath(), So);
+  // The served entry is the winner's prefix inside the strategies unit,
+  // and the persisted object still holds every timed candidate.
+  EXPECT_EQ(R->FuncName, batchCandidateName(Name, R->Strategy));
+  for (BatchStrategy St :
+       {BatchStrategy::ScalarLoop, BatchStrategy::InstanceParallel,
+        BatchStrategy::InstanceParallelFused}) {
+    std::string Err;
+    EXPECT_TRUE(runtime::JitKernel::load(So, batchCandidateName(Name, St),
+                                         R->NumParams, Err,
+                                         /*WithBatchEntry=*/true))
+        << Err;
+  }
+
+  // A disk entry that lost its object recompiles the persisted unit once,
+  // and the winner's entry resolves in the new object.
+  std::filesystem::remove(So);
+  ServiceConfig C2;
+  C2.CacheDir = Dir.Path;
+  KernelService S2(C2);
+  GetResult R2;
+  CompileDelta D2 = countCompiles(S2, [&] {
+    R2 = S2.get(la::potrfSource(8), hostOpts(Name), /*Batched=*/true);
+  });
+  ASSERT_TRUE(R2) << R2.Error;
+  EXPECT_EQ(S2.stats().Generations, 0);
+  EXPECT_EQ(D2.Service, 1);
+  EXPECT_EQ(D2.Jit, 1);
+  EXPECT_EQ(R2->FuncName, R->FuncName);
+  EXPECT_TRUE(R2->Kernel->hasBatchEntry());
 }
 
 TEST(ServiceBatch, DispatchMatchesIndividualCalls) {

@@ -147,7 +147,14 @@ TEST(Slc, MeasureFlagIsAcceptedAndAnnotates) {
   RunResult R = runSlc("-measure -isa scalar -name potrfm " + Path);
   unlink(Path.c_str());
   EXPECT_EQ(R.Status, 0) << R.Out;
-  EXPECT_NE(R.Out.find("void potrfm("), std::string::npos);
+  // A measured artifact is its tuning unit: every timed variant under
+  // `potrfm_v<i>` (just `potrfm` when only one competed, or when nothing
+  // could be measured), with the header naming the served entry.
+  size_t Entry = R.Out.find(", entry: potrfm");
+  ASSERT_NE(Entry, std::string::npos) << R.Out;
+  size_t Begin = Entry + 9, End = R.Out.find_first_of(".,", Begin);
+  std::string Name = R.Out.substr(Begin, End - Begin);
+  EXPECT_NE(R.Out.find("void " + Name + "("), std::string::npos) << Name;
 }
 
 // slc runs on the sl::Session facade now, so -so-out works locally too

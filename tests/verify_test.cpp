@@ -184,31 +184,17 @@ std::optional<Emissions> emitAll(const std::string &Source,
     return std::nullopt;
   }
   E.R = std::move(*R);
-  const int Nu = E.R.Func.Nu;
-  auto Pre = recompileScalar(E.R, &E.O);
-  if (!Pre) {
-    ADD_FAILURE() << "scalar recompile failed for " << Name;
-    return std::nullopt;
-  }
-  E.Pre = std::move(*Pre);
-  auto W = widenAcrossInstances(E.Pre.Func, Nu, Name + "_vecblk");
-  auto WF = widenAcrossInstancesFused(E.Pre.Func, Nu, Name + "_fusedblk");
-  auto WT =
-      widenAcrossInstancesFusedMasked(E.Pre.Func, Nu, Name + "_fusedtail");
-  if (!W || !WF || !WT) {
+  // Exactly the functions the batch emitters print: one scalar recompile,
+  // every widening, FMA contraction on FMA-capable widths.
+  auto W = widenKernels(E.R, &E.O, /*Vec=*/true, /*Fused=*/true);
+  if (!W || !W->Vec || !W->Fused || !W->FusedTail) {
     ADD_FAILURE() << "widening failed for " << Name;
     return std::nullopt;
   }
-  // Mirror emission: FMA contraction on FMA-capable widths, applied to
-  // every variant (see slingen/Batched.cpp).
-  if (Nu >= 4) {
-    contractFma(W->Func);
-    contractFma(WF->Func);
-    contractFma(WT->Func);
-  }
-  E.VecBlk = std::move(*W);
-  E.FusedBlk = std::move(*WF);
-  E.FusedTail = std::move(*WT);
+  E.Pre = std::move(W->Scalar);
+  E.VecBlk = std::move(*W->Vec);
+  E.FusedBlk = std::move(*W->Fused);
+  E.FusedTail = std::move(*W->FusedTail);
   return E;
 }
 

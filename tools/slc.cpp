@@ -52,8 +52,9 @@
 //                      METRICS scrape: counters, gauges, histogram
 //                      percentiles, per-kernel/per-peer tables), then exit
 //     -timing          request the per-phase timing breakdown and print
-//                      it to stderr (tier, generation/compile/tune time,
-//                      round trip)
+//                      it to stderr (tier; generation, tuner measurement
+//                      and compile time -- every cc run, tuning units
+//                      included; round trip)
 //     -trace-out <f>   collect phase spans for this run and write them as
 //                      Chrome trace-event JSON to <f>
 //     -print-basic     also print the Stage 1 basic program to stderr
@@ -145,12 +146,16 @@ std::string baseName(const std::string &Path) {
 /// for the same request (check.sh diffs them).
 std::string headerComment(const std::string &Input, const std::string &Isa,
                           const std::string &Key, long StaticCost,
-                          bool Measured, double MeasuredCycles) {
+                          bool Measured, double MeasuredCycles,
+                          const std::string &Entry = "") {
   std::string C =
       "/* Generated by slc from " + Input + " -- SLinGen reproduction.\n";
   C += " * ISA: " + Isa;
   if (!Key.empty())
     C += ", cache key: " + Key;
+  // A tuned artifact ships its whole tuning unit; name the winner in it.
+  if (!Entry.empty())
+    C += ", entry: " + Entry;
   C += ", static cost estimate: " + std::to_string(StaticCost) + " cycles";
   if (Measured)
     C += formatf(", measured median: %.1f cycles", MeasuredCycles);
@@ -581,7 +586,7 @@ int main(int argc, char **argv) {
       if (const sl::TimingBreakdown *T = K->timing())
         fprintf(stderr,
                 "timing: tier=%s total-us=%ld round-trip-us=%ld "
-                "(cache=%ld wait=%ld disk=%ld gen=%ld tune=%ld "
+                "(cache=%ld wait=%ld disk=%ld gen=%ld tune-measure=%ld "
                 "compile=%ld)\n",
                 T->Tier.c_str(), T->TotalUs, T->RoundTripUs, T->CacheUs,
                 T->WaitUs, T->DiskUs, T->GenUs, T->TuneUs, T->CompileUs);
@@ -595,7 +600,7 @@ int main(int argc, char **argv) {
 
     std::string C = headerComment(Input, K->isa(), K->key(),
                                   K->staticCost(), K->measured(),
-                                  K->measuredCycles()) +
+                                  K->measuredCycles(), K->functionName()) +
                     K->cSource();
     if (!SoOut.empty()) {
       if (K->objectBytes().empty())
@@ -675,34 +680,22 @@ int main(int argc, char **argv) {
 
   if (VerifyIr) {
     // The report covers the single-instance kernel and -- with -batch on a
-    // vector ISA -- every widened batch variant the emitters can produce,
-    // replaying the recompile/widen/contract pipeline exactly as emission
-    // does (see slingen::verifyEmittedIR). All strategies are reported, not
-    // just the one the chooser would pick: the report is an audit surface.
+    // vector ISA -- the scalar recompile and every widened batch kernel the
+    // emitters print (see slingen::widenKernels). All strategies are
+    // reported, not just the one the chooser would pick: the report is an
+    // audit surface.
     bool Clean = true;
     auto Report = [&](const cir::Function &F) {
       fputs(cir::verifyReportText(F).c_str(), stderr);
       Clean &= cir::verify(F).empty();
     };
     Report(Result->Func);
-    const int Nu = Result->Func.Nu;
-    if (Batch && Nu >= 2) {
-      if (auto Pre = recompileScalar(*Result, &Options)) {
-        Report(Pre->Func);
-        auto Widened = [&](std::optional<cir::WidenedFunction> W) {
-          if (!W)
-            return;
-          if (Nu >= 4)
-            cir::contractFma(W->Func);
-          Report(W->Func);
-        };
-        const std::string &N = Result->Func.Name;
-        Widened(cir::widenAcrossInstances(Pre->Func, Nu, N + "_vecblk"));
-        Widened(cir::widenAcrossInstancesFused(Pre->Func, Nu,
-                                               N + "_fusedblk"));
-        Widened(cir::widenAcrossInstancesFusedMasked(Pre->Func, Nu,
-                                                     N + "_fusedtail"));
-      }
+    if (auto W = Batch ? widenKernels(*Result, &Options, true, true)
+                       : std::nullopt) {
+      Report(W->Scalar.Func);
+      for (auto *WF : {&W->Vec, &W->Fused, &W->FusedTail})
+        if (*WF)
+          Report((*WF)->Func);
     }
     if (!Clean)
       return fail("C-IR verification failed (see report above)");
@@ -714,9 +707,8 @@ int main(int argc, char **argv) {
     C += emitC(*Result);
   } else {
     // Without a service there is nothing to measure against, so Auto
-    // resolves by the static cost model alone; the chooser already
-    // produced the winning emission when vec won. (Mirrors the
-    // resolution ladder in the service.)
+    // resolves by the static cost model alone and the chooser returns the
+    // winner's emission. (Mirrors the resolution ladder in the service.)
     BatchStrategy S = StrategyName.empty()
                           ? BatchStrategy::Auto
                           : *batchStrategyByName(StrategyName);
@@ -731,14 +723,14 @@ int main(int argc, char **argv) {
     if (S == BatchStrategy::Auto) {
       service::BatchChoice BC = service::chooseBatchStrategy(
           *Result, Options, {}, /*AllowCompile=*/false, BatchThreads);
-      S = BC.Strategy;
-      Emitted = std::move(BC.ChosenSource);
-    }
-    if (S == BatchStrategy::InstanceParallelFused && Emitted.empty())
+      if (BC.Rejected)
+        return fail("C-IR verification failed: " + BC.Rejected->str());
+      Emitted = std::move(BC.Unit.Source);
+    } else if (S == BatchStrategy::InstanceParallelFused)
       Emitted = emitBatchedVectorFusedC(*Result, &Options);
-    else if (S == BatchStrategy::InstanceParallel && Emitted.empty())
+    else if (S == BatchStrategy::InstanceParallel)
       Emitted = emitBatchedVectorC(*Result, &Options);
-    else if (Emitted.empty())
+    else
       Emitted = emitBatchedC(*Result);
     C += Emitted;
   }
