@@ -478,9 +478,13 @@ private:
         }
         LoI = LoI + scaled(It->second, L.LoVarCoeff);
       }
-      // Values are LoExpr, LoExpr+Step, ... < Hi; an interval of
-      // [min(LoExpr), Hi-1], clamped non-empty for possibly-dead bodies.
-      Interval VarI{LoI.Lo, std::max(static_cast<long>(L.Hi) - 1, LoI.Lo)};
+      // Values are LoExpr, LoExpr+Step, ... < Hi. With a constant lower
+      // bound the last value is exactly Lo + (Hi-1-Lo)/Step*Step; an affine
+      // one is bounded by Hi-1. Clamped non-empty for possibly-dead bodies.
+      long Last = static_cast<long>(L.Hi) - 1;
+      if (L.LoVar < 0 && Last >= L.Lo)
+        Last = L.Lo + (Last - L.Lo) / L.Step * L.Step;
+      Interval VarI{LoI.Lo, std::max(Last, LoI.Lo)};
       Scope.emplace(L.Var, VarI);
       checkBlock(L.Body);
       Scope.erase(L.Var);

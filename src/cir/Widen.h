@@ -11,12 +11,15 @@
 /// operation widened to Lanes vector lanes, where lane l of each register
 /// holds problem instance `b*Lanes + l` of the corresponding scalar value.
 ///
-/// The widened function operates on an interleaved AoSoA block layout:
-/// element e of instance-lane l of a parameter lives at offset e*Lanes + l,
-/// so every scalar load/store widens to one full-width contiguous vector
-/// load/store at Lanes times the scalar offset -- no gathers, no masks.
-/// Division and square root go through the full-width VDiv/VSqrt
-/// instructions, keeping per-instance IEEE semantics.
+/// Parameters keep the batch ABI's contiguous per-instance layout: lane l
+/// of a parameter access reads element `affine + l * (Rows*Cols)` relative
+/// to the block base pointer, a lane-strided VLoadStrided/VStoreStrided
+/// whose stride is the parameter's instance size. Compiler temporaries
+/// never cross the ABI boundary, so locals are interleaved instead: element
+/// e of lane l lives at offset e*Lanes + l, every local address scales by
+/// Lanes and every local access is one full-width contiguous vector
+/// load/store. Division and square root go through the full-width
+/// VDiv/VSqrt instructions, keeping per-instance IEEE semantics.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,24 +45,13 @@ struct WidenedFunction {
 };
 
 /// Widens the scalar function \p F across problem instances: every register
-/// becomes a Lanes-wide vector register, every operation its vector
-/// counterpart, and every affine address is scaled by Lanes (the AoSoA
-/// block layout). Loop structure, register ids, and loop variables are
-/// preserved one-to-one. Returns std::nullopt when \p F is not purely
-/// scalar (Nu != 1 or any V* instruction) or Lanes < 2.
-std::optional<WidenedFunction>
-widenAcrossInstances(const Function &F, int Lanes, const std::string &Name);
-
-/// The *fused-layout* variant: parameters keep the batch ABI's contiguous
-/// per-instance layout, so lane l of a parameter access reads element
-/// `affine + l * (Rows*Cols)` relative to the block base pointer -- a
-/// lane-strided VLoadStrided/VStoreStrided whose stride is the parameter's
-/// instance size. No layout transpose is required around the widened
-/// kernel: it gathers instance data straight out of (and scatters results
-/// straight into) the caller's batch buffers. Compiler temporaries never
-/// cross the ABI boundary, so locals stay in the interleaved AoSoA layout
-/// of widenAcrossInstances (contiguous full-width accesses). Same
-/// feasibility conditions as widenAcrossInstances.
+/// becomes a Lanes-wide vector register and every operation its vector
+/// counterpart; parameter accesses gather/scatter lane-strided instance
+/// data straight out of (and into) the caller's batch buffers, and local
+/// addresses are scaled by Lanes (the interleaved layout above). Loop
+/// structure, register ids, and loop variables are preserved one-to-one.
+/// Returns std::nullopt when \p F is not purely scalar (Nu != 1 or any V*
+/// instruction) or Lanes < 2.
 std::optional<WidenedFunction>
 widenAcrossInstancesFused(const Function &F, int Lanes,
                           const std::string &Name);

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The thread pool behind threaded batched dispatch: a batch of independent
-/// problem instances is split into AoSoA blocks (one vector-width group of
+/// problem instances is split into blocks (one vector-width group of
 /// instances each) and the block indices are distributed across cores.
 ///
 /// Scheduling is *sticky*: participant s of a run owns the contiguous block

@@ -82,7 +82,7 @@ struct KernelArtifact {
   /// cache serves the tuned variant without re-measuring.
   BatchStrategy Strategy = BatchStrategy::ScalarLoop;
   /// Resolved batched dispatch width (>= 1, meaningful only when Batched):
-  /// how many threads dispatchBatch spreads AoSoA blocks across by
+  /// how many threads dispatchBatch spreads instance blocks across by
   /// default. Chosen by chooseBatchStrategy (measured on multicore hosts,
   /// 1 otherwise), persisted as `threads=` in the disk tier's .meta, and
   /// overridable per request/config at dispatch time -- it is dispatch

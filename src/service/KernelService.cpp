@@ -46,7 +46,7 @@ namespace {
 
 /// Content key of one request: (normalized program, options) fingerprint
 /// with the batched bit -- and, for batched requests, the configured batch
-/// strategy -- mixed in, as fixed-width hex. Pinned loop/vec requests and
+/// strategy -- mixed in, as fixed-width hex. Pinned loop/fused requests and
 /// Auto requests address distinct entries: an Auto entry's emission is the
 /// per-kernel winner, not a fixed strategy.
 std::string requestKey(const Generator &G, bool Batched,
@@ -476,12 +476,9 @@ ArtifactPtr KernelService::produce(const std::string &Key, const Generator &G,
       BatchThreads = ThreadsPolicy >= 1 ? ThreadsPolicy : 1;
       std::optional<WidenedKernels> W;
       if (Strat != BatchStrategy::ScalarLoop)
-        W = widenKernels(R, &O, Strat == BatchStrategy::InstanceParallel,
-                         Strat == BatchStrategy::InstanceParallelFused);
-      if (!W || !W->supports(Strat)) {
+        W = widenKernels(R, &O);
+      if (!W)
         Strat = BatchStrategy::ScalarLoop;
-        W.reset();
-      }
       const WidenedKernels *WP = W ? &*W : nullptr;
       if (auto VE = verifyKernels(R, WP))
         return Reject(*VE);
@@ -794,7 +791,7 @@ bool service::applyServiceConfigOption(ServiceConfig &C,
     auto S = batchStrategyByName(Value);
     if (!S) {
       Err = "bad value '" + Value + "' for option strategy "
-            "(loop, vec, fused, or auto)";
+            "(loop, fused, or auto; vec is an alias of fused)";
       return false;
     }
     C.Strategy = *S;

@@ -71,7 +71,7 @@ struct ServiceConfig {
   /// and timed) whenever a compiler, cycle counter, and host-runnable ISA are
   /// available, by the static cost model otherwise -- and the resolution
   /// is persisted in the disk tier's .meta, so a warmed shared cache
-  /// serves the tuned variant without re-measuring. InstanceParallel
+  /// serves the tuned variant without re-measuring. InstanceParallelFused
   /// degrades to ScalarLoop on scalar targets. Note that Auto measures
   /// independently of Measure (which governs per-variant tuning): a
   /// batched cache miss compiles the larger strategies unit (still one

@@ -160,17 +160,9 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
   const bool CanMeasure = AllowCompile && runtime::haveSystemCompiler() &&
                           runtime::haveCycleCounter() && Nu <= hostIsa().Nu;
 
-  // One scalar recompile feeds every widening printed below. The fused
-  // widening doubles as the feasibility probe (both instance-parallel
-  // forms share the Widener's constraints): without it there is only the
-  // scalar loop to serve. The packed widening is only built to be
-  // measured -- the static model never prefers it over fused (same
-  // widened cost, strictly more layout traffic).
-  std::optional<WidenedKernels> W;
-  if (Nu >= 2)
-    W = widenKernels(R, &O, /*Vec=*/CanMeasure, /*Fused=*/true);
-  if (W && !W->supports(BatchStrategy::InstanceParallelFused))
-    W.reset();
+  // One scalar recompile feeds both widened kernels printed below;
+  // without them there is only the scalar loop to serve.
+  std::optional<WidenedKernels> W = widenKernels(R, &O);
 
   // Static cost model: one block amortizes the widened kernel (same
   // instruction count as the scalar kernel, vector-width issue) over Nu
@@ -185,8 +177,6 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
     long FusedPerInst = staticCost(W->Scalar.Func) / Nu + SumElems / 2;
     if (FusedPerInst < staticCost(R.Func))
       C.Strategy = BatchStrategy::InstanceParallelFused;
-    if (W->supports(BatchStrategy::InstanceParallel))
-      Cands.push_back(BatchStrategy::InstanceParallel);
     Cands.push_back(BatchStrategy::InstanceParallelFused);
   }
   const WidenedKernels *WP = W ? &*W : nullptr;
@@ -239,9 +229,8 @@ BatchChoice service::chooseBatchStrategy(const GenResult &R,
         K.callBatch(Count, B.Bufs.data());
       });
     }
-    (Cands[I] == BatchStrategy::ScalarLoop         ? C.LoopCycles
-     : Cands[I] == BatchStrategy::InstanceParallel ? C.VecCycles
-                                                   : C.FusedCycles) = Sum;
+    (Cands[I] == BatchStrategy::ScalarLoop ? C.LoopCycles : C.FusedCycles) =
+        Sum;
     if (Best < 0 || Sum < BestCycles) {
       Best = static_cast<int>(I);
       BestCycles = Sum;

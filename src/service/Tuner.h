@@ -9,7 +9,7 @@
 /// wired: the static cost model pre-ranks Generator::enumerate() output,
 /// the top-K candidates are timed with median-of-k runs on deterministic
 /// inputs, and the fastest measured variant wins. The batch-strategy
-/// chooser does the same over the loop/vec/fused emissions of one kernel.
+/// chooser does the same over the loop/fused emissions of one kernel.
 ///
 /// Each tuning stage verifies every cir::Function it prints, then puts all
 /// of its candidates into one translation unit under per-candidate symbol
@@ -91,14 +91,13 @@ std::optional<TuneResult> tuneVariants(std::vector<GenResult> All,
 struct BatchChoice {
   BatchStrategy Strategy = BatchStrategy::ScalarLoop; ///< never Auto
   /// Resolved dispatch width (>= 1): how many threads the batch thread
-  /// pool should spread AoSoA blocks across for this kernel. 1 means
+  /// pool should spread Nu-instance blocks across for this kernel. 1 means
   /// single-threaded dispatch.
   int Threads = 1;
   bool Measured = false; ///< strategy choice came from real timings
   /// Sum of the median cycles over the two probe batches (one Nu-divisible,
   /// one remainder-heavy; when Measured). Lower is better.
   double LoopCycles = 0.0;
-  double VecCycles = 0.0;
   double FusedCycles = 0.0;
   /// True when the thread count was resolved by measurement (an auto
   /// policy on a multicore host with a runnable kernel).
@@ -117,9 +116,9 @@ struct BatchChoice {
 
 /// Resolves BatchStrategy::Auto for the tuned kernel \p R generated under
 /// \p O: when a compiler, a cycle counter, and a host that can execute the
-/// target ISA are all available (and \p AllowCompile), all three batched
-/// emissions -- the scalar loop, the packed instance-parallel form, and
-/// the fused-layout form -- are compiled as one tuning unit and timed over
+/// target ISA are all available (and \p AllowCompile), both batched
+/// emissions -- the scalar loop and the fused instance-parallel form --
+/// are compiled as one tuning unit and timed over
 /// two deterministic instance batches (one divisible by every supported
 /// Nu, one remainder-heavy to exercise the masked tail) and the lowest
 /// summed median wins; otherwise the static cost model compares the

@@ -22,20 +22,22 @@ namespace slingen {
 
 /// How a `<name>_batch(int count, ...)` entry point iterates its instances.
 enum class BatchStrategy {
-  ScalarLoop,       ///< loop over instances, one single-instance call each
-  InstanceParallel, ///< one vector lane per instance (packed AoSoA blocks)
+  ScalarLoop, ///< loop over instances, one single-instance call each
   /// One vector lane per instance, reading the batch ABI directly: the
   /// widened kernel's loads gather lane-strided instance data and its
-  /// stores scatter results back, so no pack/unpack layout transposes (and
-  /// no scratch blocks) bracket the block kernel.
+  /// stores scatter results back, and the count % Nu remainder runs
+  /// through one runtime-masked block.
   InstanceParallelFused,
-  Auto,             ///< service picks: measured when possible, else modeled
+  /// Deprecated spelling of InstanceParallelFused, kept for source
+  /// compatibility.
+  InstanceParallel = InstanceParallelFused,
+  Auto, ///< service picks: measured when possible, else modeled
 };
 
-/// Stable short names ("loop", "vec", "fused", "auto") for flags and .meta
-/// files.
+/// Stable short names ("loop", "fused", "auto") for flags and .meta files.
 const char *batchStrategyName(BatchStrategy S);
-/// Inverse of batchStrategyName; returns std::nullopt on unknown names.
+/// Inverse of batchStrategyName; also accepts "vec", the deprecated
+/// spelling of "fused". Returns std::nullopt on unknown names.
 std::optional<BatchStrategy> batchStrategyByName(const std::string &Name);
 
 } // namespace slingen

@@ -6,16 +6,12 @@
 //
 // The batched codegen strategies behind `<name>_batch(int count, ...)`
 // (paper Sec. 5). ScalarLoop wraps the single-instance kernel in a loop
-// over instances; InstanceParallel widens the kernel's scalar C-IR to one
-// vector lane per instance over AoSoA blocks (see cir/Widen.h), with a
-// layout-transpose pack/unpack pair preserving the contiguous-per-instance
-// batch ABI; InstanceParallelFused widens with lane-strided parameter
-// accesses so the block kernel reads and writes the batch ABI directly --
-// no transposes, no scratch blocks. InstanceParallel falls back to a
-// ScalarLoop remainder for count % Nu; InstanceParallelFused instead runs
-// the remainder through one runtime-masked widened block (`_fusedtail`,
-// see cir/Widen.h) so odd counts never drop out of vector code. Every
-// strategy also emits the
+// over instances; InstanceParallelFused widens the kernel's scalar C-IR to
+// one vector lane per instance with lane-strided parameter accesses (see
+// cir/Widen.h), so the block kernel reads and writes the batch ABI
+// directly, and runs the count % Nu remainder through one runtime-masked
+// widened block (`_fusedtail`) so odd counts never drop out of vector
+// code. Every strategy also emits the
 // `<name>_batch_span(int start, int count, ...)` sub-range entry the
 // runtime batch thread pool dispatches blocks through. A tuning unit holds
 // several strategies in one translation unit: the single-instance kernel
@@ -40,8 +36,6 @@ const char *slingen::batchStrategyName(BatchStrategy S) {
   switch (S) {
   case BatchStrategy::ScalarLoop:
     return "loop";
-  case BatchStrategy::InstanceParallel:
-    return "vec";
   case BatchStrategy::InstanceParallelFused:
     return "fused";
   case BatchStrategy::Auto:
@@ -54,9 +48,7 @@ std::optional<BatchStrategy>
 slingen::batchStrategyByName(const std::string &Name) {
   if (Name == "loop")
     return BatchStrategy::ScalarLoop;
-  if (Name == "vec")
-    return BatchStrategy::InstanceParallel;
-  if (Name == "fused")
+  if (Name == "fused" || Name == "vec")
     return BatchStrategy::InstanceParallelFused;
   if (Name == "auto")
     return BatchStrategy::Auto;
@@ -135,82 +127,35 @@ std::string batchBody(const cir::Function &F, const std::string &P,
          ";\n}\n";
     return C + batchSpan(F, P);
   }
-  if (S == BatchStrategy::InstanceParallelFused) {
-    // No scratch, no transposes: the block kernel (lane l of every vector
-    // register holds instance b*Nu + l, element e of lane l at offset
-    // l*s_i + e, gathered/scattered by the strided accesses) is handed the
-    // block base pointers of the caller's buffers directly. Block bases
-    // are kept in running pointers bumped by the (hoisted, constant) block
-    // strides so the loop body carries no per-iteration multiplies, and
-    // the count % Nu remainder is one masked block call instead of a
-    // scalar loop.
-    C += batchHeader(F, P);
-    for (size_t I = 0; I < F.Params.size(); ++I) {
-      bool Writable = F.ParamWritable.empty() || F.ParamWritable[I];
-      C += formatf("  %sdouble *bp_%zu = %s;\n", Writable ? "" : "const ", I,
-                   F.Params[I]->Name.c_str());
-    }
-    C += "  int b = 0;\n";
-    C += formatf("  for (; b + %d <= count; b += %d) {\n", Nu, Nu);
-    C += "    " + W->Fused->Func.Name + "(";
-    for (size_t I = 0; I < F.Params.size(); ++I)
-      C += formatf("%sbp_%zu", I ? ", " : "", I);
-    C += ");\n";
-    for (size_t I = 0; I < F.Params.size(); ++I)
-      C += formatf("    bp_%zu += %d * s_%zu;\n", I, Nu, I);
-    C += "  }\n";
-    C += "  if (b < count)\n";
-    C += "    " + W->FusedTail->Func.Name + "(";
-    for (size_t I = 0; I < F.Params.size(); ++I)
-      C += formatf("%sbp_%zu", I ? ", " : "", I);
-    C += formatf("%scount - b);\n", F.Params.empty() ? "" : ", ");
-    C += "}\n";
-    return C + batchSpan(F, P);
-  }
-
-  // Packed: the block kernel's operands are AoSoA blocks (element e of
-  // lane l at offset e*Nu + l). Layout-transpose helpers between the batch
-  // ABI (count contiguous instances per parameter) and one block of Nu
-  // instances bracket each block call.
-  C += formatf("static void %s_aosoa_pack(const double *__restrict src, "
-               "double *__restrict dst, long n) {\n"
-               "  for (long e = 0; e < n; ++e)\n"
-               "    for (int l = 0; l < %d; ++l)\n"
-               "      dst[e * %d + l] = src[l * n + e];\n"
-               "}\n",
-               P.c_str(), Nu, Nu);
-  C += formatf("static void %s_aosoa_unpack(const double *__restrict src, "
-               "double *__restrict dst, long n) {\n"
-               "  for (long e = 0; e < n; ++e)\n"
-               "    for (int l = 0; l < %d; ++l)\n"
-               "      dst[l * n + e] = src[e * %d + l];\n"
-               "}\n",
-               P.c_str(), Nu, Nu);
+  // The block kernel (lane l of every vector register holds instance
+  // b*Nu + l, element e of lane l at offset l*s_i + e, gathered/scattered
+  // by the strided accesses) is handed the block base pointers of the
+  // caller's buffers directly. Block bases
+  // are kept in running pointers bumped by the (hoisted, constant) block
+  // strides so the loop body carries no per-iteration multiplies, and
+  // the count % Nu remainder is one masked block call instead of a
+  // scalar loop.
   C += batchHeader(F, P);
-  for (size_t I = 0; I < F.Params.size(); ++I)
-    C += formatf("  double blk_%zu[%ld] __attribute__((aligned(64)));\n", I,
-                 paramSize(F, I) * Nu);
-  C += "  int b = 0;\n";
-  C += formatf("  for (; b + %d <= count; b += %d) {\n", Nu, Nu);
-  // Pack every parameter: inputs obviously; outputs too, so elements the
-  // kernel leaves untouched round-trip unchanged, exactly as in the
-  // scalar-loop strategy. This makes output buffers part of the *read*
-  // set under this strategy (documented in README "Batched execution").
-  for (size_t I = 0; I < F.Params.size(); ++I)
-    C += formatf("    %s_aosoa_pack(%s + b * s_%zu, blk_%zu, s_%zu);\n",
-                 P.c_str(), F.Params[I]->Name.c_str(), I, I, I);
-  C += "    " + W->Vec->Func.Name + "(";
-  for (size_t I = 0; I < F.Params.size(); ++I)
-    C += formatf("%sblk_%zu", I ? ", " : "", I);
-  C += ");\n";
   for (size_t I = 0; I < F.Params.size(); ++I) {
     bool Writable = F.ParamWritable.empty() || F.ParamWritable[I];
-    if (Writable)
-      C += formatf("    %s_aosoa_unpack(blk_%zu, %s + b * s_%zu, s_%zu);\n",
-                   P.c_str(), I, F.Params[I]->Name.c_str(), I, I);
+    C += formatf("  %sdouble *bp_%zu = %s;\n", Writable ? "" : "const ", I,
+                 F.Params[I]->Name.c_str());
   }
+  C += "  int b = 0;\n";
+  C += formatf("  for (; b + %d <= count; b += %d) {\n", Nu, Nu);
+  C += "    " + W->Fused.Func.Name + "(";
+  for (size_t I = 0; I < F.Params.size(); ++I)
+    C += formatf("%sbp_%zu", I ? ", " : "", I);
+  C += ");\n";
+  for (size_t I = 0; I < F.Params.size(); ++I)
+    C += formatf("    bp_%zu += %d * s_%zu;\n", I, Nu, I);
   C += "  }\n";
-  C += "  for (; b < count; ++b)\n    " + scalarCall(F, "b") + ";\n}\n";
+  C += "  if (b < count)\n";
+  C += "    " + W->FusedTail.Func.Name + "(";
+  for (size_t I = 0; I < F.Params.size(); ++I)
+    C += formatf("%sbp_%zu", I ? ", " : "", I);
+  C += formatf("%scount - b);\n", F.Params.empty() ? "" : ", ");
+  C += "}\n";
   return C + batchSpan(F, P);
 }
 
@@ -238,48 +183,32 @@ std::optional<ScalarRecompile> recompileScalar(const GenResult &R,
 
 } // namespace
 
-bool WidenedKernels::supports(BatchStrategy S) const {
-  switch (S) {
-  case BatchStrategy::InstanceParallel:
-    return Vec.has_value();
-  case BatchStrategy::InstanceParallelFused:
-    return Fused && FusedTail;
-  default:
-    return S == BatchStrategy::ScalarLoop;
-  }
-}
-
 std::optional<WidenedKernels> slingen::widenKernels(const GenResult &R,
-                                                    const GenOptions *Opts,
-                                                    bool Vec, bool Fused) {
+                                                    const GenOptions *Opts) {
   const int Nu = R.Func.Nu;
   if (Nu < 2)
     return std::nullopt; // scalar target: no lanes to parallelize across
   std::optional<ScalarRecompile> Scalar = recompileScalar(R, Opts);
   if (!Scalar)
     return std::nullopt;
-  WidenedKernels W{std::move(*Scalar), {}, {}, {}};
-  const cir::Function &SF = W.Scalar.Func;
+  const cir::Function &SF = Scalar->Func;
   const std::string &N = R.Func.Name;
-  if (Vec)
-    W.Vec = cir::widenAcrossInstances(SF, Nu, N + "_vecblk");
-  if (Fused) {
-    // The fused block kernel plus its runtime-masked tail: one widened
-    // block that executes exactly the first `active_` lanes' instances,
-    // so count % Nu never drops out of vector code.
-    W.Fused = cir::widenAcrossInstancesFused(SF, Nu, N + "_fusedblk");
-    W.FusedTail =
-        cir::widenAcrossInstancesFusedMasked(SF, Nu, N + "_fusedtail");
-  }
+  // The block kernel plus its runtime-masked tail: one widened block that
+  // executes exactly the first `active_` lanes' instances, so count % Nu
+  // never drops out of vector code.
+  auto Blk = cir::widenAcrossInstancesFused(SF, Nu, N + "_fusedblk");
+  auto Tail = cir::widenAcrossInstancesFusedMasked(SF, Nu, N + "_fusedtail");
+  if (!Blk || !Tail)
+    return std::nullopt;
+  WidenedKernels W{std::move(*Scalar), std::move(*Blk), std::move(*Tail)};
   // Contract mul+add chains into hardware FMAs on ISAs that have them
-  // (Nu >= 4: AVX/AVX-512). Applied identically to every widened variant so
+  // (Nu >= 4: AVX/AVX-512). Applied identically to both widened kernels so
   // tail lanes stay bit-identical to full-block lanes; never applied inside
   // the wideners themselves, keeping the hermetic widen-vs-scalar
   // interpreter tests exact.
   if (Nu >= 4)
-    for (auto *WF : {&W.Vec, &W.Fused, &W.FusedTail})
-      if (*WF)
-        cir::contractFma((*WF)->Func);
+    for (cir::WidenedFunction *WF : {&W.Fused, &W.FusedTail})
+      cir::contractFma(WF->Func);
   return W;
 }
 
@@ -289,12 +218,10 @@ slingen::verifyKernels(const GenResult &R, const WidenedKernels *W) {
     return E;
   if (!W)
     return std::nullopt;
-  if (auto E = cir::verifyFirst(W->Scalar.Func))
-    return E;
-  for (auto *WF : {&W->Vec, &W->Fused, &W->FusedTail})
-    if (*WF)
-      if (auto E = cir::verifyFirst((*WF)->Func))
-        return E;
+  for (const cir::Function *F :
+       {&W->Scalar.Func, &W->Fused.Func, &W->FusedTail.Func})
+    if (auto E = cir::verifyFirst(*F))
+      return E;
   return std::nullopt;
 }
 
@@ -309,13 +236,11 @@ std::string slingen::emitBatchUnit(const GenResult &R,
   const cir::Function &F = R.Func;
   std::vector<const cir::Function *> Fs = {&F};
   for (BatchStrategy S : Ss) {
-    assert((S == BatchStrategy::ScalarLoop || (W && W->supports(S))) &&
+    assert((S == BatchStrategy::ScalarLoop || W) &&
            "strategy without its widened kernels");
-    if (S == BatchStrategy::InstanceParallel)
-      Fs.push_back(&W->Vec->Func);
     if (S == BatchStrategy::InstanceParallelFused) {
-      Fs.push_back(&W->Fused->Func);
-      Fs.push_back(&W->FusedTail->Func);
+      Fs.push_back(&W->Fused.Func);
+      Fs.push_back(&W->FusedTail.Func);
     }
   }
   std::string C = cir::emitTranslationUnit(Fs);
@@ -338,50 +263,30 @@ std::string slingen::emitBatchedC(const GenResult &R) {
   return emitBatchUnit(R, {BatchStrategy::ScalarLoop}, nullptr);
 }
 
-namespace {
-
-/// One instance-parallel strategy on its own: widen, check, emit -- or the
-/// scalar loop when \p S cannot widen.
-std::string emitInstanceParallel(const GenResult &R, const GenOptions *Opts,
-                                 bool *UsedVector, BatchStrategy S) {
-  bool Fused = S == BatchStrategy::InstanceParallelFused;
-  std::optional<WidenedKernels> W = widenKernels(R, Opts, !Fused, Fused);
-  bool Vector = W && W->supports(S);
+std::string slingen::emitBatchedVectorFusedC(const GenResult &R,
+                                             const GenOptions *Opts,
+                                             bool *UsedVector) {
+  std::optional<WidenedKernels> W = widenKernels(R, Opts);
   if (UsedVector)
-    *UsedVector = Vector;
-  if (!Vector)
+    *UsedVector = W.has_value();
+  if (!W)
     return emitBatchedC(R);
-  for (auto *WF : {&W->Vec, &W->Fused, &W->FusedTail})
-    if (*WF)
-      cir::verifyAssert((*WF)->Func, "batched-widen");
-  return emitBatchUnit(R, {S}, &*W);
+  for (const cir::Function *F : {&W->Fused.Func, &W->FusedTail.Func})
+    cir::verifyAssert(*F, "batched-widen");
+  return emitBatchUnit(R, {BatchStrategy::InstanceParallelFused}, &*W);
 }
-
-} // namespace
 
 std::string slingen::emitBatchedVectorC(const GenResult &R,
                                         const GenOptions *Opts,
                                         bool *UsedVector) {
-  return emitInstanceParallel(R, Opts, UsedVector,
-                              BatchStrategy::InstanceParallel);
-}
-
-std::string slingen::emitBatchedVectorFusedC(const GenResult &R,
-                                             const GenOptions *Opts,
-                                             bool *UsedVector) {
-  return emitInstanceParallel(R, Opts, UsedVector,
-                              BatchStrategy::InstanceParallelFused);
+  return emitBatchedVectorFusedC(R, Opts, UsedVector);
 }
 
 std::optional<cir::VerifyError>
 slingen::verifyEmittedIR(const GenResult &R, const GenOptions *Opts,
                          bool Batched, BatchStrategy Strategy) {
-  bool Vec = Strategy == BatchStrategy::InstanceParallel ||
-             Strategy == BatchStrategy::Auto;
-  bool Fused = Strategy == BatchStrategy::InstanceParallelFused ||
-               Strategy == BatchStrategy::Auto;
   std::optional<WidenedKernels> W;
-  if (Batched && (Vec || Fused))
-    W = widenKernels(R, Opts, Vec, Fused);
+  if (Batched && Strategy != BatchStrategy::ScalarLoop)
+    W = widenKernels(R, Opts);
   return verifyKernels(R, W ? &*W : nullptr);
 }

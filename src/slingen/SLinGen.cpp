@@ -194,8 +194,9 @@ uint64_t slingen::optionsFingerprint(const GenOptions &O) {
   // cached shared objects keyed on the fingerprint can never serve stale
   // code. v2: masked fused batch tails, FMA contraction, aligned locals.
   // v3: tuning units (suffixed candidate symbols) ship as the artifact;
-  // split kernels prefix their file-scope locals.
-  constexpr uint64_t EmissionVersion = 3;
+  // split kernels prefix their file-scope locals. v4: the packed `vec`
+  // strategy is gone; strategies units hold only loop and fused.
+  constexpr uint64_t EmissionVersion = 4;
   Fnv1a64 H;
   H.num(EmissionVersion);
   H.str(O.Isa->Name);

@@ -164,29 +164,24 @@ struct ScalarRecompile {
   cir::Function Func;
 };
 
-/// The widened block kernels the instance-parallel strategies print, all
+/// The widened block kernels the instance-parallel strategy prints, both
 /// derived from one scalar recompile of a GenResult and FMA-contracted at
 /// Nu >= 4. The emitters print exactly these functions and verifyKernels
 /// checks exactly these functions, so what is verified is what compiles.
 struct WidenedKernels {
   ScalarRecompile Scalar;
-  std::optional<cir::WidenedFunction> Vec;       ///< `<name>_vecblk`
   /// `<name>_fusedblk` and its runtime-masked remainder `<name>_fusedtail`.
-  std::optional<cir::WidenedFunction> Fused, FusedTail;
-
-  /// True when \p S can be emitted from these kernels (ScalarLoop always).
-  bool supports(BatchStrategy S) const;
+  cir::WidenedFunction Fused, FusedTail;
 };
 
 /// Re-runs Stage 2/3 once over a clone of \p R.Basic with the scalar ISA
 /// (other knobs from \p Opts when given, defaults otherwise) and widens
-/// the result for the packed (\p Vec) and/or fused (\p Fused) strategies.
-/// std::nullopt on a scalar target or when the scalar function's
-/// parameters do not line up with R.Func's (never expected; callers then
-/// fall back to ScalarLoop); an infeasible widening stays empty.
+/// the result into the block kernel and its masked tail. std::nullopt on a
+/// scalar target, when the scalar function's parameters do not line up
+/// with R.Func's (never expected), or when widening is infeasible; callers
+/// then fall back to ScalarLoop.
 std::optional<WidenedKernels> widenKernels(const GenResult &R,
-                                           const GenOptions *Opts, bool Vec,
-                                           bool Fused);
+                                           const GenOptions *Opts);
 
 /// Checks every function a batched emission of \p R prints: R.Func, plus
 /// -- when \p W is given -- its scalar recompile and widened kernels.
@@ -199,7 +194,7 @@ std::optional<cir::VerifyError> verifyKernels(const GenResult &R,
 std::string batchCandidateName(const std::string &FuncName, BatchStrategy S);
 
 /// One translation unit for \p Strategies over R.Func, printing W's
-/// widened kernels (every strategy but ScalarLoop needs W->supports(S)).
+/// widened kernels (every strategy but ScalarLoop needs W).
 /// With one strategy the entry points are `<name>_batch` and
 /// `<name>_batch_span`. With several -- a tuning unit -- R.Func and the
 /// widened kernels are printed once, and each strategy gets
@@ -210,37 +205,33 @@ std::string emitBatchUnit(const GenResult &R,
                           const std::vector<BatchStrategy> &Strategies,
                           const WidenedKernels *W);
 
-/// InstanceParallel strategy: the kernel's translation unit plus (a) the
-/// kernel re-emitted with every scalar operation widened to R.Func.Nu lanes
-/// over an interleaved AoSoA block layout (see cir/Widen.h), (b) a
-/// pack/unpack layout-transpose helper pair between the contiguous
-/// per-instance batch ABI and AoSoA blocks, and (c) a `<name>_batch` driver
-/// that processes floor(count/Nu) full blocks vector-parallel and the
-/// `count % Nu` remainder through the scalar-loop path. Falls back to
+/// InstanceParallelFused strategy: the kernel's translation unit plus (a)
+/// the kernel re-emitted with every scalar operation widened to R.Func.Nu
+/// lanes, one problem instance per lane (see cir/Widen.h), whose parameter
+/// accesses gather/scatter lane-strided instance data straight out of the
+/// batch ABI, (b) its runtime-masked twin for the `count % Nu` remainder,
+/// and (c) a `<name>_batch` driver that passes block base pointers through
+/// with no layout transposes and no scratch blocks. Falls back to
 /// emitBatchedC when the target ISA is scalar or widening is infeasible;
 /// \p UsedVector, when non-null, reports whether the instance-parallel
 /// emission actually happened (callers labeling the output with a
 /// BatchStrategy must downgrade to ScalarLoop when it is false).
 /// \p Opts, when given, supplies the non-ISA codegen knobs for the scalar
 /// re-compilation (pass the options the GenResult was generated under).
-std::string emitBatchedVectorC(const GenResult &R,
-                               const GenOptions *Opts = nullptr,
-                               bool *UsedVector = nullptr);
-
-/// InstanceParallelFused strategy: as emitBatchedVectorC, but the widened
-/// kernel reads and writes the batch ABI directly -- parameter accesses
-/// gather/scatter lane-strided instance data (stride = the parameter's
-/// instance size, see cir::widenAcrossInstancesFused), so the driver passes
-/// block base pointers straight through with no pack/unpack transposes and
-/// no scratch blocks. Same fallback and \p UsedVector semantics as
-/// emitBatchedVectorC.
 std::string emitBatchedVectorFusedC(const GenResult &R,
                                     const GenOptions *Opts = nullptr,
                                     bool *UsedVector = nullptr);
 
+/// Deprecated spelling of emitBatchedVectorFusedC, kept for source
+/// compatibility.
+std::string emitBatchedVectorC(const GenResult &R,
+                               const GenOptions *Opts = nullptr,
+                               bool *UsedVector = nullptr);
+
 /// Statically verifies every cir::Function the emission for \p R compiles:
-/// verifyKernels over widenKernels for \p Strategy's widenings (both for
-/// Auto, whose tuning unit prints both; none unbatched or for ScalarLoop).
+/// verifyKernels over widenKernels when \p Strategy prints the widened
+/// kernels (fused, and Auto, whose tuning unit holds fused; not unbatched
+/// or for ScalarLoop).
 /// Returns the first violation, or std::nullopt when all functions verify
 /// (including when widening is infeasible and the emission degrades to the
 /// scalar loop). The serving path verifies the kernels it prints through

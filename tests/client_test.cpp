@@ -157,7 +157,7 @@ TEST(ClientBuilder, InvalidRequestsAreRejectedAtBuild) {
 
   auto StrategyNoBatch = sl::RequestBuilder()
                              .source("Mat A(4,4) <In>;\n")
-                             .strategy("vec")
+                             .strategy("fused")
                              .build();
   EXPECT_EQ(StrategyNoBatch.code(), sl::Code::InvalidRequest);
 
@@ -262,6 +262,33 @@ TEST(ClientLocal, LocalCacheDirAddressPersistsAcrossSessions) {
   ASSERT_TRUE(Stats);
   EXPECT_NE(Stats->find("disk-hits=1"), std::string::npos) << *Stats;
   EXPECT_NE(Stats->find("generations=0"), std::string::npos) << *Stats;
+}
+
+TEST(ClientLocal, VecStrategyIsTheFusedAlias) {
+  auto S = sl::Session::open("local:", noCompiler());
+  ASSERT_TRUE(S) << S.message();
+  auto Pinned = [&](const char *Strategy) {
+    auto R = sl::RequestBuilder()
+                 .source(la::potrfSource(8))
+                 .name("cl_alias")
+                 .isa("avx")
+                 .batched()
+                 .strategy(Strategy)
+                 .build();
+    EXPECT_TRUE(R) << R.message();
+    return S->get(*R);
+  };
+  auto Fused = Pinned("fused");
+  ASSERT_TRUE(Fused) << Fused.message();
+  auto Vec = Pinned("vec");
+  ASSERT_TRUE(Vec) << Vec.message();
+  EXPECT_EQ(Fused->strategy(), "fused");
+  EXPECT_EQ(Vec->strategy(), "fused");
+  EXPECT_EQ(Vec->key(), Fused->key());
+  EXPECT_NE(Vec->cSource().find("cl_alias_fusedblk"), std::string::npos);
+  auto Stats = S->stats();
+  ASSERT_TRUE(Stats);
+  EXPECT_NE(Stats->find("generations=1"), std::string::npos) << *Stats;
 }
 
 TEST(ClientLocal, BadSourceIsParseError) {

@@ -320,7 +320,8 @@ TEST(Protocol, RequestToServiceArgsValidates) {
   R.MeasureOverride = 0;
   R.Threads = 3;
   ASSERT_TRUE(requestToServiceArgs(R, O, Req, Err));
-  EXPECT_EQ(*Req.Strategy, BatchStrategy::InstanceParallel);
+  // "vec" is the deprecated alias of "fused".
+  EXPECT_EQ(*Req.Strategy, BatchStrategy::InstanceParallelFused);
   EXPECT_EQ(*Req.Measure, false);
   EXPECT_EQ(*Req.Threads, 3);
 

@@ -574,7 +574,7 @@ TEST(ServiceCompiles, OneCompilePerTuningStage) {
     bool Batched, Measure;
     int Compiles;
   };
-  // single 1; batched-auto 1 (loop/vec/fused in one unit); measured 1 (the
+  // single 1; batched-auto 1 (loop/fused in one unit); measured 1 (the
   // top-K variants in one unit); measured+batched 2 (the variants unit,
   // then the winner's strategies unit, which ships).
   for (Kind K : {Kind{"cc_single", false, false, 1},
@@ -628,8 +628,7 @@ TEST(ServiceCompiles, BatchedAutoShipsTheObjectItTimed) {
   // and the persisted object still holds every timed candidate.
   EXPECT_EQ(R->FuncName, batchCandidateName(Name, R->Strategy));
   for (BatchStrategy St :
-       {BatchStrategy::ScalarLoop, BatchStrategy::InstanceParallel,
-        BatchStrategy::InstanceParallelFused}) {
+       {BatchStrategy::ScalarLoop, BatchStrategy::InstanceParallelFused}) {
     std::string Err;
     EXPECT_TRUE(runtime::JitKernel::load(So, batchCandidateName(Name, St),
                                          R->NumParams, Err,

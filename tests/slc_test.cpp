@@ -101,31 +101,29 @@ TEST(Slc, BatchFlagEmitsBatchEntry) {
 
 TEST(Slc, BatchStrategyVecEmitsInstanceParallelEntry) {
   std::string Path = writeLa(PotrfLa);
-  RunResult R = runSlc("-batch -batch-strategy vec -name potrfv " + Path);
-  EXPECT_EQ(R.Status, 0) << R.Out;
-  EXPECT_NE(R.Out.find("void potrfv_batch(int count"), std::string::npos);
-  EXPECT_NE(R.Out.find("potrfv_vecblk"), std::string::npos);
-  EXPECT_NE(R.Out.find("potrfv_aosoa_pack"), std::string::npos);
-
-  RunResult L = runSlc("-batch -batch-strategy loop -name potrfv " + Path);
-  EXPECT_EQ(L.Status, 0) << L.Out;
-  EXPECT_NE(L.Out.find("void potrfv_batch(int count"), std::string::npos);
-  EXPECT_EQ(L.Out.find("potrfv_vecblk"), std::string::npos);
-
-  // The fused strategy is transpose-free: the block kernel reads the
-  // batch ABI directly, and the span entry for threaded dispatch is there.
+  // The fused strategy: the block kernel reads the batch ABI directly,
+  // and the span entry for threaded dispatch is there.
   RunResult F =
       runSlc("-batch -batch-strategy fused -name potrfv " + Path);
   EXPECT_EQ(F.Status, 0) << F.Out;
   EXPECT_NE(F.Out.find("void potrfv_batch(int count"), std::string::npos);
   EXPECT_NE(F.Out.find("potrfv_fusedblk"), std::string::npos);
   EXPECT_NE(F.Out.find("potrfv_batch_span(int start"), std::string::npos);
-  EXPECT_EQ(F.Out.find("potrfv_aosoa_pack"), std::string::npos);
+
+  // "vec" is the deprecated alias of "fused": the identical emission.
+  RunResult R = runSlc("-batch -batch-strategy vec -name potrfv " + Path);
+  EXPECT_EQ(R.Status, 0) << R.Out;
+  EXPECT_EQ(R.Out, F.Out);
+
+  RunResult L = runSlc("-batch -batch-strategy loop -name potrfv " + Path);
+  EXPECT_EQ(L.Status, 0) << L.Out;
+  EXPECT_NE(L.Out.find("void potrfv_batch(int count"), std::string::npos);
+  EXPECT_EQ(L.Out.find("potrfv_fusedblk"), std::string::npos);
 
   RunResult Bad = runSlc("-batch -batch-strategy bogus -name potrfv " + Path);
   unlink(Path.c_str());
   EXPECT_NE(Bad.Status, 0);
-  EXPECT_NE(Bad.Out.find("loop, vec, fused, or auto"), std::string::npos);
+  EXPECT_NE(Bad.Out.find("loop, fused, or auto"), std::string::npos);
 }
 
 TEST(Slc, CacheDirServesIdenticalOutputAcrossRuns) {

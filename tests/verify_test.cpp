@@ -112,6 +112,28 @@ struct ScalarKernel {
   }
 };
 
+/// A 4-lane copy C[i:i+4] = A[i:i+4] over 4x4 operands, stepping i by the
+/// lane count from 0 while i < Hi: the column-stepped shape the vector
+/// tiler emits. With Hi = 16 the last iterate is i = 12 (elements 12..15);
+/// with Hi = 17 the loop also runs i = 16 and touches 16..19.
+struct SteppedKernel {
+  Program P;
+  Operand *A, *C;
+  Function F;
+
+  explicit SteppedKernel(int Hi) {
+    A = P.addOperand("A", 4, 4);
+    C = P.addOperand("C", 4, 4);
+    C->IO = IOKind::Out;
+    FuncBuilder B("stk", 4);
+    int IV = B.beginLoop(0, Hi, 4);
+    int V = B.vload(B.addr(A, 0, {{IV, 1}}), 4);
+    B.vstore(B.addr(C, 0, {{IV, 1}}), V, 4);
+    B.endLoop();
+    F = B.take({A, C});
+  }
+};
+
 /// A tiny known-good instance-widened kernel (the shape cir/Widen.h
 /// produces: Nu lanes of independent instances, LocalVecWidth == Nu, local
 /// addresses scaled by Nu). Params are sized Rows*Cols per instance; the
@@ -128,7 +150,7 @@ struct WideKernel {
     C->IO = IOKind::Out;
     T = P.addOperand("T", 2, 2);
     FuncBuilder B("wk", Nu);
-    // Contiguous AoSoA layout: element e of lane l at offset e*Nu + l.
+    // Interleaved layout: element e of lane l at offset e*Nu + l.
     int V0 = B.vload(B.addr(A, 0), Nu);
     int V1 = B.vload(B.addr(A, Nu), Nu);
     int M = B.vbin(Op::VMul, V0, V1);
@@ -157,7 +179,6 @@ struct Emissions {
   GenOptions O;
   GenResult R;
   ScalarRecompile Pre;      ///< the scalar recompile the wideners consume
-  WidenedFunction VecBlk;   ///< widenAcrossInstances (AoSoA block)
   WidenedFunction FusedBlk; ///< widenAcrossInstancesFused (lane-strided)
   WidenedFunction FusedTail; ///< ...FusedMasked (runtime tail)
 };
@@ -186,15 +207,14 @@ std::optional<Emissions> emitAll(const std::string &Source,
   E.R = std::move(*R);
   // Exactly the functions the batch emitters print: one scalar recompile,
   // every widening, FMA contraction on FMA-capable widths.
-  auto W = widenKernels(E.R, &E.O, /*Vec=*/true, /*Fused=*/true);
-  if (!W || !W->Vec || !W->Fused || !W->FusedTail) {
+  auto W = widenKernels(E.R, &E.O);
+  if (!W) {
     ADD_FAILURE() << "widening failed for " << Name;
     return std::nullopt;
   }
   E.Pre = std::move(W->Scalar);
-  E.VecBlk = std::move(*W->Vec);
-  E.FusedBlk = std::move(*W->Fused);
-  E.FusedTail = std::move(*W->FusedTail);
+  E.FusedBlk = std::move(W->Fused);
+  E.FusedTail = std::move(W->FusedTail);
   return E;
 }
 
@@ -215,7 +235,6 @@ TEST(VerifyOracle, PipelineEmissionsVerify) {
     ASSERT_TRUE(E);
     EXPECT_TRUE(verifiesClean(E->R.Func));
     EXPECT_TRUE(verifiesClean(E->Pre.Func));
-    EXPECT_TRUE(verifiesClean(E->VecBlk.Func));
     EXPECT_TRUE(verifiesClean(E->FusedBlk.Func));
     EXPECT_TRUE(verifiesClean(E->FusedTail.Func));
     EXPECT_TRUE(E->FusedTail.Func.HasTailMask);
@@ -226,8 +245,7 @@ TEST(VerifyOracle, VerifyEmittedIRAcceptsEveryStrategy) {
   auto E = potrfEmissions();
   ASSERT_TRUE(E);
   for (BatchStrategy S :
-       {BatchStrategy::ScalarLoop, BatchStrategy::InstanceParallel,
-        BatchStrategy::InstanceParallelFused}) {
+       {BatchStrategy::ScalarLoop, BatchStrategy::InstanceParallelFused}) {
     auto VE = verifyEmittedIR(E->R, &E->O, /*Batched=*/true, S);
     EXPECT_FALSE(VE) << "strategy " << batchStrategyName(S) << ": "
                      << (VE ? VE->str() : "");
@@ -349,6 +367,19 @@ TEST(VerifyMutation, WidenedLoopBoundEscapesBuffer) {
   // affine term rather than the constant.
   ASSERT_FALSE(loops(K.F).empty());
   loops(K.F).front()->Hi = 32;
+  EXPECT_TRUE(rejectsWith(K.F, VerifyKind::OutOfBounds));
+}
+
+TEST(VerifyOracle, SteppedLoopLastIterateStaysInBounds) {
+  // Bounds follow the values the loop reaches, not Hi-1: i in {0, 4, 8,
+  // 12} never loads past element 15.
+  SteppedKernel K(16);
+  EXPECT_TRUE(verifiesClean(K.F));
+}
+
+TEST(VerifyMutation, SteppedLoopLastIterateEscapesBuffer) {
+  // One more iterate (i = 16) loads elements 16..19 of a 16-element buffer.
+  SteppedKernel K(17);
   EXPECT_TRUE(rejectsWith(K.F, VerifyKind::OutOfBounds));
 }
 
@@ -544,16 +575,17 @@ TEST(VerifyMutation, FusedBlockStrideEscapesBlock) {
   EXPECT_TRUE(rejectsWith(E->FusedBlk.Func, VerifyKind::OutOfBounds));
 }
 
-TEST(VerifyMutation, VecBlockMisalignedLocal) {
-  auto E = emitAll(la::trsylSource(4), "vt");
+TEST(VerifyMutation, FusedBlockMisalignedLocal) {
+  auto E = potrfEmissions();
   ASSERT_TRUE(E);
-  // trsyl carries compiler temporaries; knock one contiguous local access
-  // off the Nu-element grid the widener guarantees.
+  // potrf carries compiler temporaries, which stay interleaved in the
+  // fused block; knock one contiguous local access off the Nu-element
+  // grid the widener guarantees.
   bool Mutated = false;
-  for (Inst *I : insts(E->VecBlk.Func)) {
+  for (Inst *I : insts(E->FusedBlk.Func)) {
     if (!(I->K == Op::VLoad || I->K == Op::VStore) || !I->Address.Buf)
       continue;
-    for (const Operand *L : E->VecBlk.Func.Locals)
+    for (const Operand *L : E->FusedBlk.Func.Locals)
       if (I->Address.Buf == L) {
         I->Address.Const += 1;
         Mutated = true;
@@ -562,9 +594,8 @@ TEST(VerifyMutation, VecBlockMisalignedLocal) {
     if (Mutated)
       break;
   }
-  if (!Mutated)
-    GTEST_SKIP() << "emission has no contiguous local access to mutate";
-  EXPECT_TRUE(rejectsWith(E->VecBlk.Func, VerifyKind::Misaligned));
+  ASSERT_TRUE(Mutated) << "emission has no contiguous local access to mutate";
+  EXPECT_TRUE(rejectsWith(E->FusedBlk.Func, VerifyKind::Misaligned));
 }
 
 } // namespace

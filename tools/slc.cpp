@@ -23,8 +23,8 @@
 //                      compiler is available)
 //     -cache-dir <dir> persist/reuse kernels in a disk cache
 //     -batch           also emit the <name>_batch(int count, ...) entry
-//     -batch-strategy  loop | vec | fused | auto (default auto): how the
-//                      batch entry iterates instances
+//     -batch-strategy  loop | fused | auto (default auto; vec is an alias
+//                      of fused): how the batch entry iterates instances
 //     -batch-threads k batched dispatch width recorded on the artifact
 //                      (0 = auto: the service measures; k >= 1 pins)
 //     -set k=v         any GenOptions key (see slingen/OptionsIO.h); the
@@ -103,7 +103,7 @@ void usage(const char *Argv0) {
           "                    compiler; falls back to the static model)\n"
           "  -cache-dir <dir>  persist/reuse compiled kernels across runs\n"
           "  -batch            also emit <name>_batch(int count, ...)\n"
-          "  -batch-strategy <s>  loop | vec | fused | auto (default auto)\n"
+          "  -batch-strategy <s>  loop | fused | auto (default auto; vec = fused)\n"
           "  -batch-threads <k>  dispatch width (0 = auto, k >= 1 pins)\n"
           "  -set k=v          set any GenOptions key\n"
           "  -service k=v      set any ServiceConfig key\n"
@@ -254,7 +254,8 @@ int main(int argc, char **argv) {
       StrategyName = Next();
       if (!batchStrategyByName(StrategyName)) {
         fprintf(stderr,
-                "error: -batch-strategy takes loop, vec, fused, or auto\n");
+                "error: -batch-strategy takes loop, fused, or auto (vec is an "
+                "alias of fused)\n");
         return 1;
       }
     } else if (Arg == "-batch-threads") {
@@ -690,13 +691,10 @@ int main(int argc, char **argv) {
       Clean &= cir::verify(F).empty();
     };
     Report(Result->Func);
-    if (auto W = Batch ? widenKernels(*Result, &Options, true, true)
-                       : std::nullopt) {
-      Report(W->Scalar.Func);
-      for (auto *WF : {&W->Vec, &W->Fused, &W->FusedTail})
-        if (*WF)
-          Report((*WF)->Func);
-    }
+    if (auto W = Batch ? widenKernels(*Result, &Options) : std::nullopt)
+      for (const cir::Function *F :
+           {&W->Scalar.Func, &W->Fused.Func, &W->FusedTail.Func})
+        Report(*F);
     if (!Clean)
       return fail("C-IR verification failed (see report above)");
   }
@@ -712,10 +710,8 @@ int main(int argc, char **argv) {
     BatchStrategy S = StrategyName.empty()
                           ? BatchStrategy::Auto
                           : *batchStrategyByName(StrategyName);
-    if ((S == BatchStrategy::InstanceParallel ||
-         S == BatchStrategy::InstanceParallelFused) &&
-        Options.Isa->Nu < 2) {
-      fprintf(stderr, "warning: -batch-strategy vec/fused needs a vector "
+    if (S == BatchStrategy::InstanceParallelFused && Options.Isa->Nu < 2) {
+      fprintf(stderr, "warning: -batch-strategy fused needs a vector "
                       "ISA; emitting the scalar loop\n");
       S = BatchStrategy::ScalarLoop;
     }
@@ -728,8 +724,6 @@ int main(int argc, char **argv) {
       Emitted = std::move(BC.Unit.Source);
     } else if (S == BatchStrategy::InstanceParallelFused)
       Emitted = emitBatchedVectorFusedC(*Result, &Options);
-    else if (S == BatchStrategy::InstanceParallel)
-      Emitted = emitBatchedVectorC(*Result, &Options);
     else
       Emitted = emitBatchedC(*Result);
     C += Emitted;
