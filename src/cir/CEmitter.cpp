@@ -22,6 +22,7 @@ public:
   explicit Emitter(const Function &F) : F(F), Nu(F.Nu) {
     for (const Operand *L : F.Locals)
       Locals.insert(L);
+    collectBroadcasts();
   }
 
   std::string run() {
@@ -44,20 +45,14 @@ public:
     if (Parts.size() <= 1)
       return run();
 
-    // Compiler temporaries become file-scope so every part sees them.
-    // (They are always fully written before being read within a call, so
-    // static persistence across calls is unobservable.) They are prefixed
-    // with the function name: a translation unit holding several kernels
-    // (a batch emission, a tuning unit) may split more than one.
-    FileScopeLocals = true;
-    for (const Operand *L : F.Locals)
-      Sink.line(formatf(
-          "static double %s[%d] __attribute__((aligned(64)));",
-          bufName(L).c_str(), L->Rows * L->Cols * F.LocalVecWidth));
-
+    // Compiler temporaries live in the entry function's frame and reach
+    // the parts as extra pointer parameters, so concurrent calls of one
+    // kernel (kernels are shared across threads, and batch workers run
+    // instance kernels in parallel) never share scratch space.
     for (size_t P = 0; P < Parts.size(); ++P) {
       std::string Name = formatf("%s_part%zu", F.Name.c_str(), P);
-      Sink.line("static " + prototype(F, Name.c_str()) + " {");
+      Sink.line("static " + prototype(F, Name.c_str(), /*WithLocals=*/true) +
+                " {");
       Sink.indent();
       emitRegDeclsForRange(Parts[P].first, Parts[P].second);
       emitMaskDeclsForRange(Parts[P].first, Parts[P].second);
@@ -70,34 +65,51 @@ public:
 
     Sink.line(prototype(F) + " {");
     Sink.indent();
-    for (size_t P = 0; P < Parts.size(); ++P) {
-      std::string Call = formatf("%s_part%zu(", F.Name.c_str(), P);
-      for (size_t I = 0; I < F.Params.size(); ++I)
-        Call += formatf("%s%s", I ? ", " : "", F.Params[I]->Name.c_str());
-      if (F.HasTailMask)
-        Call += formatf("%sactive_", F.Params.empty() ? "" : ", ");
-      Sink.line(Call + ");");
-    }
+    emitLocalDecls();
+    std::string Args =
+        join(signature(F, /*WithLocals=*/true, /*Types=*/false));
+    for (size_t P = 0; P < Parts.size(); ++P)
+      Sink.line(formatf("%s_part%zu(%s);", F.Name.c_str(), P, Args.c_str()));
     Sink.dedent();
     Sink.line("}");
     return Sink.str();
   }
 
-  static std::string prototype(const Function &F,
-                               const char *NameOverride = nullptr) {
-    std::string S =
-        formatf("void %s(", NameOverride ? NameOverride : F.Name.c_str());
+  /// The parameter list of \p F -- its operands, the tail mask's lane
+  /// count, and with \p WithLocals its temporaries -- as declarations or,
+  /// without \p Types, as the argument names.
+  static std::vector<std::string> signature(const Function &F, bool WithLocals,
+                                            bool Types) {
+    std::vector<std::string> Ps;
+    auto Add = [&](const char *Type, const std::string &Name) {
+      Ps.push_back(Types ? Type + Name : Name);
+    };
     for (size_t I = 0; I < F.Params.size(); ++I) {
       bool Writable = F.ParamWritable.empty() || F.ParamWritable[I];
-      S += formatf("%s%sdouble *__restrict %s", I ? ", " : "",
-                   Writable ? "" : "const ", F.Params[I]->Name.c_str());
+      Add(Writable ? "double *__restrict " : "const double *__restrict ",
+          F.Params[I]->Name);
     }
     if (F.HasTailMask)
-      S += formatf("%sint active_", F.Params.empty() ? "" : ", ");
-    else if (F.Params.empty())
-      S += "void";
-    S += ")";
+      Add("int ", "active_");
+    if (WithLocals)
+      for (const Operand *L : F.Locals)
+        Add("double *__restrict ", L->Name);
+    return Ps;
+  }
+
+  static std::string join(const std::vector<std::string> &Ps) {
+    std::string S;
+    for (const std::string &P : Ps)
+      S += (S.empty() ? "" : ", ") + P;
     return S;
+  }
+
+  static std::string prototype(const Function &F,
+                               const char *NameOverride = nullptr,
+                               bool WithLocals = false) {
+    std::vector<std::string> Ps = signature(F, WithLocals, /*Types=*/true);
+    return formatf("void %s(%s)", NameOverride ? NameOverride : F.Name.c_str(),
+                   Ps.empty() ? "void" : join(Ps).c_str());
   }
 
 private:
@@ -105,12 +117,6 @@ private:
   int Nu;
   CodeSink Sink;
   std::set<const Operand *> Locals;
-  bool FileScopeLocals = false; ///< locals live at file scope (split)
-
-  std::string bufName(const Operand *Buf) const {
-    return FileScopeLocals && Locals.count(Buf) ? F.Name + "_" + Buf->Name
-                                                : Buf->Name;
-  }
 
   /// True when the address provably sits at a full-vector boundary of a
   /// 64-byte-aligned local array: every offset contribution (constant and
@@ -134,7 +140,7 @@ private:
   std::string var(int Id) const { return formatf("i%d", Id); }
 
   std::string address(const Addr &A) const {
-    std::string S = bufName(A.Buf);
+    std::string S = A.Buf->Name;
     S += formatf(" + %d", A.Const);
     for (auto [Var, Coeff] : A.Terms) {
       if (Coeff == 1)
@@ -304,6 +310,24 @@ private:
 
   bool isConstReg(int R) const { return ConstDefs.count(R) != 0; }
 
+  /// Single-def VBroadcast registers and the scalar each splats: a shuffle
+  /// whose every lane is such a scalar (or zero) is built from the scalars.
+  std::map<int, int> BroadcastOf;
+
+  void collectBroadcasts() {
+    std::vector<int> Defs(F.NumRegs, 0);
+    for (const Node &N : F.Body)
+      forEachInst(N, [&](const Inst &In) {
+        if (!hasDst(In.K) || In.Dst < 0)
+          return;
+        ++Defs[In.Dst];
+        if (In.K == Op::VBroadcast)
+          BroadcastOf[In.Dst] = In.A;
+      });
+    std::erase_if(BroadcastOf,
+                  [&](const auto &E) { return Defs[E.first] > 1; });
+  }
+
   /// Greedy partition of the top-level body into [first, last) ranges of
   /// at least MaxInstsPerPart instructions, cut only at nodes after which
   /// no (non-constant) register is live.
@@ -419,6 +443,23 @@ private:
     return Nu == 8 ? "_mm512" : (Nu == 4 ? "_mm256" : "_mm");
   }
 
+  /// The 128-bit half of vector register \p Reg that holds lane \p Lane
+  /// (as its low double for even lanes, its high double for odd ones),
+  /// reached through register moves: lane accesses never take a round trip
+  /// through a stack temporary.
+  std::string half(int Reg, int Lane) const {
+    std::string V = reg(Reg);
+    if (Nu == 8)
+      V = formatf(Lane < 4 ? "_mm512_castpd512_pd256(%s)"
+                           : "_mm512_extractf64x4_pd(%s, 1)",
+                  V.c_str());
+    if (Nu >= 4)
+      V = formatf(Lane % 4 < 2 ? "_mm256_castpd256_pd128(%s)"
+                               : "_mm256_extractf128_pd(%s, 1)",
+                  V.c_str());
+    return V;
+  }
+
   void emitVector(const Inst &I) {
     assert(Nu > 1 && "vector instruction in a scalar function");
     switch (I.K) {
@@ -480,18 +521,13 @@ private:
       Sink.line(formatf("r%d = %s_set_pd(%s);", I.Dst, pfx(), Args.c_str()));
       break;
     }
-    case Op::VStoreStrided: {
-      Sink.line("{");
-      Sink.indent();
-      Sink.line(formatf("double t%d_[%d];", I.A, Nu));
-      Sink.line(formatf("%s_storeu_pd(t%d_, r%d);", pfx(), I.A, I.A));
+    case Op::VStoreStrided:
       for (int L = 0; L < I.Lanes; ++L)
-        Sink.line(formatf("(%s)[%d] = t%d_[%d];", address(I.Address).c_str(),
-                          L * I.Stride, I.A, L));
-      Sink.dedent();
-      Sink.line("}");
+        Sink.line(formatf("%s(&(%s)[%d], %s);",
+                          L % 2 ? "_mm_storeh_pd" : "_mm_store_sd",
+                          address(I.Address).c_str(),
+                          L * I.Stride, half(I.A, L).c_str()));
       break;
-    }
     case Op::VLoadStridedMasked:
       // Runtime-masked lane-strided load for the batch tail: lanes
       // [0, active_) gather instance data, dead lanes are zeroed so their
@@ -616,18 +652,11 @@ private:
     case Op::VExtract:
       if (I.Lanes == 0) {
         Sink.line(formatf("r%d = %s_cvtsd_f64(r%d);", I.Dst, pfx(), I.A));
-      } else if (Nu == 2) {
-        Sink.line(formatf(
-            "r%d = _mm_cvtsd_f64(_mm_unpackhi_pd(r%d, r%d));", I.Dst, I.A,
-            I.A));
       } else {
-        Sink.line("{");
-        Sink.indent();
-        Sink.line(formatf("double t%d_[%d];", I.Dst, Nu));
-        Sink.line(formatf("%s_storeu_pd(t%d_, r%d);", pfx(), I.Dst, I.A));
-        Sink.line(formatf("r%d = t%d_[%d];", I.Dst, I.Dst, I.Lanes));
-        Sink.dedent();
-        Sink.line("}");
+        std::string H = half(I.A, I.Lanes);
+        if (I.Lanes % 2)
+          H = formatf("_mm_unpackhi_pd(%s, %s)", H.c_str(), H.c_str());
+        Sink.line(formatf("r%d = _mm_cvtsd_f64(%s);", I.Dst, H.c_str()));
       }
       break;
     case Op::VReduceAdd:
@@ -664,6 +693,22 @@ private:
   }
 
   void emitShuffle(const Inst &I) {
+    // Every lane a broadcast scalar or zero: set the vector from the
+    // scalars, one unpack/insert per pair instead of a splat-and-blend.
+    std::string Lanes;
+    bool FromScalars = true;
+    for (int L = Nu - 1; L >= 0 && FromScalars; --L) {
+      int S = I.Sel[L];
+      auto It = BroadcastOf.find(S < Nu ? I.A : I.B);
+      FromScalars = S < 0 || It != BroadcastOf.end();
+      if (FromScalars)
+        Lanes += (S < 0 ? "0.0" : reg(It->second)) + (L ? ", " : "");
+    }
+    if (FromScalars) {
+      Sink.line(
+          formatf("r%d = %s_set_pd(%s);", I.Dst, pfx(), Lanes.c_str()));
+      return;
+    }
     if (Nu == 2) {
       // _mm_shuffle_pd(x, y, imm) yields {x[imm&1], y[imm>>1]}; choose x
       // and y independently among rA, rB, and a zero vector.
@@ -751,6 +796,38 @@ private:
         Sink.line(
             formatf("r%d = %s;", I.Dst, BlendZero(reg(Src)).c_str()));
       }
+      return;
+    }
+
+    // vshufpd: lanes 0/2 take the low or high double of A's 128-bit
+    // halves, lanes 1/3 that of B's.
+    bool ShufPd = !HasZero;
+    int ShufImm = 0;
+    for (int L = 0; L < 4 && ShufPd; ++L) {
+      int S = I.Sel[L];
+      ShufPd = (S >= 4) == (L % 2 == 1) && (S % 4) / 2 == L / 2;
+      ShufImm |= (S % 2) << L;
+    }
+    if (ShufPd) {
+      Sink.line(formatf("r%d = _mm256_shuffle_pd(r%d, r%d, %d);", I.Dst, I.A,
+                        I.B, ShufImm));
+      return;
+    }
+    // vperm2f128: each 128-bit half of the result is a whole half of A or
+    // B, or zero.
+    bool Perm2 = true;
+    int Perm2Imm = 0;
+    for (int H = 0; H < 2 && Perm2; ++H) {
+      int S0 = I.Sel[2 * H], S1 = I.Sel[2 * H + 1];
+      if (S0 < 0 && S1 < 0)
+        Perm2Imm |= 8 << (4 * H);
+      else
+        Perm2 = S0 >= 0 && S0 % 2 == 0 && S1 == S0 + 1;
+      Perm2Imm |= (S0 < 0 ? 0 : S0 / 2) << (4 * H);
+    }
+    if (Perm2) {
+      Sink.line(formatf("r%d = _mm256_permute2f128_pd(r%d, r%d, 0x%02x);",
+                        I.Dst, I.A, I.B < 0 ? I.A : I.B, Perm2Imm));
       return;
     }
 

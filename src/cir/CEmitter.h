@@ -33,8 +33,9 @@ std::string emitFunction(const Function &F);
 /// instructions) are split into a chain of static part-functions called in
 /// sequence from the named entry point. Splits happen only at top-level
 /// points where no virtual register is live across, so semantics are
-/// unchanged; compiler temporaries (Locals) are promoted to file-scope
-/// static arrays so all parts see them. Splitting keeps the C compiler's
+/// unchanged; compiler temporaries (Locals) stay in the entry function's
+/// frame and are passed to every part, so the kernel stays re-entrant.
+/// Splitting keeps the C compiler's
 /// per-function analyses (which scale superlinearly) fast on the fully
 /// unrolled large-size kernels.
 std::string emitFunctionSplit(const Function &F, int MaxInstsPerPart);

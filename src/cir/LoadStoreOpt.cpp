@@ -6,9 +6,10 @@
 //
 // Implements the paper's Stage-3 load/store analysis (Sec. 3.3, Figs. 11/12):
 // memory is tracked at element granularity through constant addresses; a
-// vector load whose lanes were all produced by earlier stores (or loads) is
-// replaced by a shuffle/blend of the producing registers, a scalar load by a
-// lane extract, and stores that are overwritten before any read are deleted.
+// vector load (contiguous or strided) whose lanes were all produced by
+// earlier stores (or loads) is rebuilt from the producing registers with
+// broadcasts and shuffles/blends, a scalar load becomes a lane extract, and
+// stores that are overwritten before any read are deleted.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 
 #include "cir/Verify.h"
 
+#include <algorithm>
 #include <cassert>
 #include <functional>
 #include <map>
@@ -31,7 +33,8 @@ namespace {
 struct LaneVal {
   int Reg = -1;
   int Lane = -1;
-  long Time = 0; ///< clock value at publication (for the age window)
+  long Time = 0;      ///< clock value at publication (for the age window)
+  bool Stored = false; ///< published by a store, not by a load
 };
 
 using MemKey = std::pair<const Operand *, int>; // (buffer, element offset)
@@ -46,7 +49,13 @@ public:
     for (int I = 0; I < F.NumRegs; ++I)
       Rename[I] = I;
     runBlock(F.Body);
-    deadStores(F.Body, /*LiveOutEverything=*/true);
+    // Compiler temporaries are dead when the function returns: a store to
+    // one that nothing reads afterwards is dead too.
+    std::set<MemKey> DeadAtExit;
+    for (const Operand *L : F.Locals)
+      for (int E = 0; E < L->Rows * L->Cols * F.LocalVecWidth; ++E)
+        DeadAtExit.insert({L, E});
+    deadStores(F.Body, std::move(DeadAtExit));
     F.NumRegs = NextReg;
     F.RegIsVec = RegIsVec;
   }
@@ -54,6 +63,14 @@ public:
 private:
   Function &F;
   int Window;
+  /// How far back the oldest producer of a rebuilt (strided, scalar-sourced
+  /// or multi-source) reload may lie. Longer live ranges cost the C
+  /// compiler's register allocator more than the rebuilds save: unbounded,
+  /// trsyl28 took 19-21 s to compile (9-12 s at the parent emission); at
+  /// 256 it takes 9-11 s with n=4/n=12 kernel cycles unchanged, while 64
+  /// gave back much of the gain (trsyl4 136 -> 232 cycles, gpr12 1003 ->
+  /// 1114; AVX emission, AVX-512 Xeon host).
+  static constexpr long RebuildWindowInsts = 256;
   long Clock = 0;
   std::vector<int> Defs;
   std::vector<int> Rename;
@@ -88,9 +105,17 @@ private:
 
   void recordStore(const Operand *Buf, int Off, int Reg, int Lane) {
     if (singleDef(Reg))
-      Mem[{Buf, Off}] = {Reg, Lane, Clock};
+      Mem[{Buf, Off}] = {Reg, Lane, Clock, /*Stored=*/true};
     else
       Mem.erase({Buf, Off});
+  }
+
+  /// Publishes the lanes of a kept vector load for later reuse.
+  void recordLoad(const Inst &I, int Stride) {
+    if (singleDef(I.Dst))
+      for (int L = 0; L < I.Lanes; ++L)
+        Mem[{I.Address.Buf, I.Address.Const + L * Stride}] = {I.Dst, L,
+                                                              Clock};
   }
 
   /// Window-checked lookup: entries older than Window instructions are
@@ -110,51 +135,115 @@ private:
     return &It->second;
   }
 
-  /// Tries to synthesize the value of a vector load (Lanes active lanes at
-  /// Base..Base+Lanes-1 of Buf) out of live registers. Appends replacement
-  /// instructions to Out and returns the register holding the value, or -1.
-  int synthesize(const Operand *Buf, int Base, int Lanes,
-                 std::vector<Node> &Out) {
-    int Nu = F.Nu;
-    LaneVal Vals[8];
-    for (int L = 0; L < Lanes; ++L) {
-      const LaneVal *V = lookup(Buf, Base + L);
-      if (!V)
-        return -1;
-      Vals[L] = *V;
-      if (Vals[L].Lane < 0)
-        return -1; // scalar producer: handled only for scalar loads
-    }
-    // Collect the source registers (at most two for a shuffle).
-    int SrcA = -1, SrcB = -1;
-    for (int L = 0; L < Lanes; ++L) {
-      int R = Vals[L].Reg;
-      if (SrcA < 0 || R == SrcA)
-        SrcA = R;
-      else if (SrcB < 0 || R == SrcB)
-        SrcB = R;
-      else
-        return -1;
-    }
-    // Build the selector; inactive lanes must be zero (VLoad semantics).
-    std::vector<int> Sel(Nu, -1);
-    bool Identity = Lanes == Nu;
-    for (int L = 0; L < Lanes; ++L) {
-      bool FromB = SrcB >= 0 && Vals[L].Reg == SrcB;
-      Sel[L] = (FromB ? Nu : 0) + Vals[L].Lane;
-      if (FromB || Vals[L].Lane != L)
-        Identity = false;
-    }
-    if (Identity)
-      return SrcA; // direct reuse, no instruction needed
+  /// A VShuffle of A and B into a fresh vector register.
+  Inst shuffle(int A, int B, std::vector<int> Sel) {
     Inst Sh;
     Sh.K = Op::VShuffle;
     Sh.Dst = freshVReg();
-    Sh.A = SrcA;
-    Sh.B = SrcB < 0 ? SrcA : SrcB;
+    Sh.A = A;
+    Sh.B = B;
     Sh.Sel = std::move(Sel);
-    Out.push_back(std::move(Sh));
-    return Out.empty() ? -1 : std::get<Inst>(Out.back()).Dst;
+    return Sh;
+  }
+
+  /// Tries to synthesize the value of a vector load (Lanes active lanes at
+  /// Base + L * Stride of Buf) out of live registers. Appends replacement
+  /// instructions to Out and returns the register holding the value, or -1.
+  ///
+  /// Lanes held by at most two vector registers take one shuffle (or none).
+  /// Anything more -- scalar producers, more sources -- takes a broadcast
+  /// per scalar and a chain of two-source shuffles, which pays only when
+  /// some lane was published by a store: such a reload cannot be served by
+  /// store-to-load forwarding (it spans several stores, or is a masked
+  /// load) and waits for the stores to reach the cache. A reload of loaded
+  /// lanes waits on nothing and stays a load. Counting only stores still in
+  /// flight (a bound of 4 to 64 instructions on the newest stored lane) was
+  /// measured on the n=4 and n=12 kernel_single kernels and lost to no
+  /// bound every time (trsyl4 127 -> 255 cycles at 8, trlya12 1053 -> 1325
+  /// at 32; AVX emission, AVX-512 Xeon host). The bound that remains,
+  /// RebuildWindowInsts, is on live ranges.
+  int synthesize(const Operand *Buf, int Base, int Stride, int Lanes,
+                 std::vector<Node> &Out) {
+    const int Nu = F.Nu;
+    LaneVal Vals[8];
+    bool Stored = false;
+    long Age = 0; // distance back to the oldest producer
+    for (int L = 0; L < Lanes; ++L) {
+      const LaneVal *V = lookup(Buf, Base + L * Stride);
+      if (!V)
+        return -1;
+      Vals[L] = *V;
+      Stored |= V->Stored;
+      Age = std::max(Age, Clock - V->Time);
+    }
+    // The distinct producers, oldest first: the chain merges the value
+    // produced last in its final shuffle.
+    std::vector<LaneVal> Srcs;
+    for (int L = 0; L < Lanes; ++L) {
+      bool Seen = false;
+      for (const LaneVal &S : Srcs)
+        Seen |= S.Reg == Vals[L].Reg;
+      if (!Seen)
+        Srcs.push_back(Vals[L]);
+    }
+    std::stable_sort(Srcs.begin(), Srcs.end(),
+                     [](const LaneVal &X, const LaneVal &Y) {
+                       return X.Time < Y.Time;
+                     });
+    bool AllVector = true;
+    for (const LaneVal &S : Srcs)
+      AllVector &= S.Lane >= 0;
+    // Contiguous lanes of at most two vector registers take one shuffle or
+    // none, at any distance in the window. Every other rebuild keeps all its
+    // producers live up to the reload, so all must be recent; and beyond
+    // one shuffle it pays only when a lane waits on a store.
+    bool OneShuffle = AllVector && Srcs.size() <= 2;
+    if (!(OneShuffle && Stride == 1) &&
+        (Age > RebuildWindowInsts ||
+         (!OneShuffle && !Stored)))
+      return -1;
+
+    // The source lane that holds lane L of the load. A broadcast scalar
+    // sits in every lane: taking lane L keeps the shuffle a per-lane blend.
+    auto Pick = [&](int L) { return Vals[L].Lane < 0 ? L : Vals[L].Lane; };
+    std::vector<int> SrcReg;
+    for (const LaneVal &S : Srcs) {
+      if (S.Lane >= 0) {
+        SrcReg.push_back(S.Reg);
+        continue;
+      }
+      Inst Bc;
+      Bc.K = Op::VBroadcast;
+      Bc.Dst = freshVReg();
+      Bc.A = S.Reg;
+      SrcReg.push_back(Bc.Dst);
+      Out.push_back(std::move(Bc));
+    }
+    // The first shuffle places the two oldest sources and zeroes every
+    // other lane: inactive lanes stay zero (VLoad semantics), the rest are
+    // placeholders. Each later shuffle keeps every lane but those of one
+    // more source, which it blends in.
+    std::vector<int> Sel(Nu, -1);
+    bool Identity = Lanes == Nu && Srcs.size() == 1;
+    for (int L = 0; L < Lanes; ++L) {
+      if (Vals[L].Reg == Srcs[0].Reg)
+        Sel[L] = Pick(L);
+      else if (Srcs.size() > 1 && Vals[L].Reg == Srcs[1].Reg)
+        Sel[L] = Nu + Pick(L);
+      Identity &= Sel[L] == L;
+    }
+    if (Identity)
+      return SrcReg[0]; // direct reuse, no instruction needed
+    int Acc = SrcReg[0];
+    Out.push_back(shuffle(Acc, Srcs.size() > 1 ? SrcReg[1] : Acc, Sel));
+    Acc = std::get<Inst>(Out.back()).Dst;
+    for (size_t I = 2; I < Srcs.size(); ++I) {
+      for (int L = 0; L < Nu; ++L)
+        Sel[L] = L < Lanes && Vals[L].Reg == Srcs[I].Reg ? Nu + Pick(L) : L;
+      Out.push_back(shuffle(Acc, SrcReg[I], Sel));
+      Acc = std::get<Inst>(Out.back()).Dst;
+    }
+    return Acc;
   }
 
   void runBlock(std::vector<Node> &Body) {
@@ -238,27 +327,18 @@ private:
         Out.push_back(std::move(I));
         continue;
       }
-      case Op::VLoad: {
-        if (I.Address.isConstant()) {
-          int R = synthesize(I.Address.Buf, I.Address.Const, I.Lanes, Out);
-          if (R >= 0) {
-            if (singleDef(I.Dst)) {
-              Rename[I.Dst] = R;
-              continue;
-            }
-          }
-          if (singleDef(I.Dst))
-            for (int L = 0; L < I.Lanes; ++L)
-              Mem[{I.Address.Buf, I.Address.Const + L}] = {I.Dst, L, Clock};
-        }
-        Out.push_back(std::move(I));
-        continue;
-      }
+      case Op::VLoad:
       case Op::VLoadStrided: {
-        if (I.Address.isConstant() && singleDef(I.Dst))
-          for (int L = 0; L < I.Lanes; ++L)
-            Mem[{I.Address.Buf, I.Address.Const + L * I.Stride}] = {
-                I.Dst, L, Clock};
+        int Stride = I.K == Op::VLoad ? 1 : I.Stride;
+        if (I.Address.isConstant() && singleDef(I.Dst)) {
+          int R = synthesize(I.Address.Buf, I.Address.Const, Stride, I.Lanes,
+                             Out);
+          if (R >= 0) {
+            Rename[I.Dst] = R;
+            continue;
+          }
+          recordLoad(I, Stride);
+        }
         Out.push_back(std::move(I));
         continue;
       }
@@ -272,14 +352,14 @@ private:
 
   /// Backward dead-store elimination within straight-line regions: a store
   /// all of whose elements are overwritten before any read (and before any
-  /// loop) is removed.
-  void deadStores(std::vector<Node> &Body, bool LiveOutEverything) {
-    std::set<MemKey> Overwritten;
+  /// loop) is removed. \p Overwritten starts as the elements dead at the
+  /// end of \p Body.
+  void deadStores(std::vector<Node> &Body, std::set<MemKey> Overwritten) {
     std::vector<Node> Out;
     for (auto It = Body.rbegin(); It != Body.rend(); ++It) {
       Node &N = *It;
       if (auto *LP = std::get_if<Loop>(&N)) {
-        deadStores(LP->Body, true);
+        deadStores(LP->Body, {});
         Overwritten.clear();
         Out.push_back(std::move(N));
         continue;
@@ -361,7 +441,6 @@ private:
     }
     std::reverse(Out.begin(), Out.end());
     Body = std::move(Out);
-    (void)LiveOutEverything;
   }
 };
 

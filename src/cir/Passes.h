@@ -37,11 +37,13 @@ void cse(Function &F);
 void dce(Function &F);
 
 /// The load/store analysis: store-to-load forwarding across constant
-/// addresses. Vector reloads of recently stored lanes become VShuffle /
-/// blend combinations (Fig. 12b); redundant loads are reused; stores that
-/// are provably overwritten before being read are removed. Forwarding is
-/// limited to \p WindowInsts instructions of distance so register live
-/// ranges stay local in very large unrolled kernels (0 = unbounded).
+/// addresses. Vector reloads (contiguous or strided) of stored lanes are
+/// rebuilt from the producing registers -- VBroadcast for scalars, a chain
+/// of two-source VShuffles (Fig. 12b) -- and scalar reloads become lane
+/// extracts; redundant loads are reused; stores that are provably
+/// overwritten before being read are removed. Forwarding is limited to
+/// \p WindowInsts instructions of distance so register live ranges stay
+/// local in very large unrolled kernels (0 = unbounded).
 void loadStoreOpt(Function &F, int WindowInsts = 4096);
 
 /// Contracts mul+add chains into fused multiply-adds: a single-use VMul

@@ -142,7 +142,7 @@ public:
   void run() {
     int M = Lhs->rows(), N = Lhs->cols();
     if (M == 1 && N == 1) {
-      emitReducedRowsUnrolled(0, 1);
+      emitReducedRow(Pos(0), /*Constant=*/true);
       return;
     }
     if (Nu == 1) {
@@ -263,6 +263,27 @@ private:
     return false;
   }
 
+  /// The one way a term enters an accumulator chain: returns Acc + Sign*V,
+  /// or Acc + V*W for a product (W >= 0; fused on vectors). Acc < 0 is the
+  /// empty chain, which starts at the term itself. A zero start would put
+  /// `0 + x` or `fma(a, b, 0)` on the serial dependency chain, and the C
+  /// compiler may not fold either (x + 0.0 is not x for x = -0.0); starting
+  /// at the term changes only the sign of an exact zero result.
+  int accumulate(int Acc, bool Vec, int V, int Sign = 1, int W = -1) {
+    if (W >= 0) {
+      assert(Sign > 0 && "products carry their sign in a factor");
+      if (Vec)
+        return Acc < 0 ? B.vbin(Op::VMul, V, W) : B.vfma(V, W, Acc);
+      int P = B.sbin(Op::SMul, V, W);
+      return Acc < 0 ? P : B.sbin(Op::SAdd, Acc, P);
+    }
+    if (Acc < 0)
+      return Sign > 0 ? V : (Vec ? B.vbin(Op::VNeg, V, -1) : B.sneg(V));
+    if (Vec)
+      return B.vbin(Sign > 0 ? Op::VAdd : Op::VSub, Acc, V);
+    return B.sbin(Sign > 0 ? Op::SAdd : Op::SSub, Acc, V);
+  }
+
   //===--------------------------------------------------------------------===//
   // Matrix output: broadcast-FMA register tiles.
   //===--------------------------------------------------------------------===//
@@ -302,10 +323,7 @@ private:
   }
 
   void emitOneTile(Pos R0, Pos C0, int TR, int TC, bool Constant) {
-    std::vector<int> Acc(TR);
-    int Zero = B.vconst(0.0);
-    for (int R = 0; R < TR; ++R)
-      Acc[R] = Zero;
+    std::vector<int> Acc(TR, -1);
     for (size_t T = 0; T < Terms.size(); ++T) {
       const Term &Tm = Terms[T];
       if (termIsZero(Tm))
@@ -314,7 +332,7 @@ private:
         // Pure scalar term broadcast over the tile (e.g. "view = 0").
         int BC = B.vbroadcast(CoefReg[T]);
         for (int R = 0; R < TR; ++R)
-          Acc[R] = B.vbin(Op::VAdd, Acc[R], BC);
+          Acc[R] = accumulate(Acc[R], true, BC);
       } else if (Tm.Mat.size() == 1)
         emitLinearTermTile(Tm, CoefReg[T], R0, C0, TR, TC, Acc);
       else
@@ -322,7 +340,7 @@ private:
     }
     for (int R = 0; R < TR; ++R)
       storeSpan(B, *Lhs, false, R0.plus(R), C0, TC, /*AlongCols=*/true,
-                Acc[R]);
+                Acc[R] < 0 ? B.vconst(0.0) : Acc[R]);
   }
 
   void emitLinearTermTile(const Term &Tm, int Coef, Pos R0, Pos C0, int TR,
@@ -332,12 +350,8 @@ private:
     for (int R = 0; R < TR; ++R) {
       int Span = loadSpan(B, *F.V, F.Trans, R0.plus(R), C0, TC,
                           /*AlongCols=*/true);
-      if (BCoef >= 0)
-        Acc[R] = B.vfma(BCoef, Span, Acc[R]);
-      else if (Tm.Sign > 0)
-        Acc[R] = B.vbin(Op::VAdd, Acc[R], Span);
-      else
-        Acc[R] = B.vbin(Op::VSub, Acc[R], Span);
+      Acc[R] = BCoef >= 0 ? accumulate(Acc[R], true, BCoef, 1, Span)
+                          : accumulate(Acc[R], true, Span, Tm.Sign);
     }
   }
 
@@ -353,36 +367,33 @@ private:
       PLo = Lo;
       PHi = Hi;
     }
-    if (PHi - PLo > Opt.UnrollK) {
-      // Materialize the reduction as a loop with stable accumulators.
-      std::vector<int> LoopAcc(TR);
+    // One rank-1 update of the tile rows at inner index P; InPlace
+    // re-assigns the chains (loop-carried accumulators).
+    auto Step = [&](Pos P, std::vector<int> &Chain, bool InPlace) {
+      int BSpan = loadSpan(B, *X.V, X.Trans, P, C0, TC, /*AlongCols=*/true);
       for (int R = 0; R < TR; ++R) {
-        LoopAcc[R] = B.vconst(0.0);
+        int AElem = loadElem(B, *A.V, A.Trans, R0.plus(R), P);
+        int BC = B.vbroadcast(scaleElem(AElem, Tm.Sign, Coef));
+        if (InPlace)
+          B.vfmaInto(Chain[R], BC, BSpan, Chain[R]);
+        else
+          Chain[R] = accumulate(Chain[R], true, BC, 1, BSpan);
       }
-      int PV = B.beginLoop(PLo, PHi, 1);
-      int BSpan =
-          loadSpan(B, *X.V, X.Trans, Pos::var(PV), C0, TC, /*AlongCols=*/true);
-      for (int R = 0; R < TR; ++R) {
-        int AElem = loadElem(B, *A.V, A.Trans, R0.plus(R), Pos::var(PV));
-        AElem = scaleElem(AElem, Tm.Sign, Coef);
-        int BC = B.vbroadcast(AElem);
-        B.vfmaInto(LoopAcc[R], BC, BSpan, LoopAcc[R]);
-      }
+    };
+    if (PHi - PLo > std::max(Opt.UnrollK, 1)) {
+      // Materialize the reduction as a loop with stable accumulators; the
+      // peeled first step starts them.
+      std::vector<int> LoopAcc(TR, -1);
+      Step(Pos(PLo), LoopAcc, false);
+      int PV = B.beginLoop(PLo + 1, PHi, 1);
+      Step(Pos::var(PV), LoopAcc, true);
       B.endLoop();
       for (int R = 0; R < TR; ++R)
-        Acc[R] = B.vbin(Op::VAdd, Acc[R], LoopAcc[R]);
+        Acc[R] = accumulate(Acc[R], true, LoopAcc[R]);
       return;
     }
-    for (int P = PLo; P < PHi; ++P) {
-      int BSpan =
-          loadSpan(B, *X.V, X.Trans, Pos(P), C0, TC, /*AlongCols=*/true);
-      for (int R = 0; R < TR; ++R) {
-        int AElem = loadElem(B, *A.V, A.Trans, R0.plus(R), Pos(P));
-        AElem = scaleElem(AElem, Tm.Sign, Coef);
-        int BC = B.vbroadcast(AElem);
-        Acc[R] = B.vfma(BC, BSpan, Acc[R]);
-      }
-    }
+    for (int P = PLo; P < PHi; ++P)
+      Step(Pos(P), Acc, false);
   }
 
   int scaleElem(int Reg, int Sign, int Coef) {
@@ -398,27 +409,25 @@ private:
   void emitLinearColumn() {
     int M = Lhs->rows();
     auto EmitChunk = [&](Pos R0, int Count) {
-      int Acc = B.vconst(0.0);
+      int Acc = -1;
       for (size_t T = 0; T < Terms.size(); ++T) {
         const Term &Tm = Terms[T];
         if (termIsZero(Tm))
           continue;
         if (Tm.Mat.empty()) {
-          Acc = B.vbin(Op::VAdd, Acc, B.vbroadcast(CoefReg[T]));
+          Acc = accumulate(Acc, true, B.vbroadcast(CoefReg[T]));
           continue;
         }
         assert(Tm.Mat.size() == 1 && "product in linear kernel");
         const Factor &F = Tm.Mat[0];
         int Span = loadSpan(B, *F.V, F.Trans, R0, 0, Count,
                             /*AlongCols=*/false);
-        if (CoefReg[T] >= 0)
-          Acc = B.vfma(B.vbroadcast(CoefReg[T]), Span, Acc);
-        else if (Tm.Sign > 0)
-          Acc = B.vbin(Op::VAdd, Acc, Span);
-        else
-          Acc = B.vbin(Op::VSub, Acc, Span);
+        Acc = CoefReg[T] >= 0
+                  ? accumulate(Acc, true, B.vbroadcast(CoefReg[T]), 1, Span)
+                  : accumulate(Acc, true, Span, Tm.Sign);
       }
-      storeSpan(B, *Lhs, false, R0, 0, Count, /*AlongCols=*/false, Acc);
+      storeSpan(B, *Lhs, false, R0, 0, Count, /*AlongCols=*/false,
+                Acc < 0 ? B.vconst(0.0) : Acc);
     };
     int Tiles = (M + Nu - 1) / Nu;
     if (M % Nu != 0 || Tiles <= Opt.UnrollTiles) {
@@ -438,7 +447,13 @@ private:
   void emitReducedRows() {
     int M = Lhs->rows();
     if (M <= Opt.UnrollTiles * Nu) {
-      emitReducedRowsUnrolled(0, M);
+      for (int R0 = 0; R0 < M; R0 += Nu) {
+        int Cnt = std::min(Nu, M - R0);
+        if (Cnt > 1)
+          emitReducedRowGroup(R0, Cnt);
+        else
+          emitReducedRow(Pos(R0), /*Constant=*/true);
+      }
       return;
     }
     int RV = B.beginLoop(0, M, 1);
@@ -446,82 +461,149 @@ private:
     B.endLoop();
   }
 
-  void emitReducedRowsUnrolled(int Lo, int Hi) {
-    for (int R = Lo; R < Hi; ++R)
-      emitReducedRow(Pos(R), /*Constant=*/true);
+  /// Inner-index range [Lo, Hi) of a dot product for output row R: the
+  /// structural nonzeros at constant positions, the whole range otherwise.
+  static std::pair<int, int> dotRange(const Factor &A, const Factor &X, Pos R,
+                                      bool Constant) {
+    int K = A.cols();
+    assert(K == X.rows() && "inner dimension mismatch in term");
+    if (!Constant)
+      return {0, K};
+    return nonzeroPRange(A, X, K, R.Const, R.Const + 1, 0, 1);
   }
 
-  void emitReducedRow(Pos R, bool Constant) {
-    int Result = -1; // scalar accumulator chain
-    auto Combine = [&](int Val, int Sign) {
-      if (Result < 0)
-        Result = Sign > 0 ? Val : B.sneg(Val);
-      else
-        Result = B.sbin(Sign > 0 ? Op::SAdd : Op::SSub, Result, Val);
+  /// Row R of A times X (Nu > 1) as one vector whose lanes sum to the dot
+  /// product, or -1 when the inner range is empty.
+  int dotLanes(const Factor &A, const Factor &X, Pos R, bool Constant) {
+    auto [PLo, PHi] = dotRange(A, X, R, Constant);
+    // Elementwise products of Cnt-lane spans at inner index P.
+    auto Span = [&](Pos P, int Cnt, int &VA, int &VX) {
+      VA = loadSpan(B, *A.V, A.Trans, R, P, Cnt, /*AlongCols=*/true);
+      VX = loadSpan(B, *X.V, X.Trans, P, 0, Cnt, /*AlongCols=*/false);
     };
+    int Acc = -1, VA, VX, P = PLo;
+    if (PHi - PLo > Opt.UnrollK * Nu) {
+      // A loop over the full spans; the peeled first one starts Acc.
+      int Full = PLo + (PHi - PLo) / Nu * Nu;
+      if (Full > P) {
+        Span(Pos(P), Nu, VA, VX);
+        Acc = accumulate(Acc, true, VA, 1, VX);
+        P += Nu;
+      }
+      if (Full > P) {
+        int PV = B.beginLoop(P, Full, Nu);
+        Span(Pos::var(PV), Nu, VA, VX);
+        B.vfmaInto(Acc, VA, VX, Acc);
+        B.endLoop();
+        P = Full;
+      }
+    }
+    for (; P < PHi; P += Nu) {
+      Span(Pos(P), std::min(Nu, PHi - P), VA, VX);
+      Acc = accumulate(Acc, true, VA, 1, VX);
+    }
+    return Acc;
+  }
+
+  /// Sums the lanes of each vector of \p Rows (at most Nu of them) into one
+  /// vector whose lane i is the sum of Rows[i]: a tree of pairwise
+  /// shuffle+add steps, each halving the vectors while doubling the lanes
+  /// summed. Lanes past Rows.size() are left unspecified.
+  int reduceRows(std::vector<int> Rows) {
+    Rows.resize(Nu, -1);
+    for (int S = 1; S < Nu; S *= 2) {
+      std::vector<int> Lo(Nu), Hi(Nu);
+      for (int L = 0; L < Nu; ++L) {
+        Lo[L] = (L & S ? Nu : 0) + (L & ~S);
+        Hi[L] = Lo[L] + S;
+      }
+      std::vector<int> Next;
+      for (size_t I = 0; I < Rows.size(); I += 2) {
+        int X = Rows[I], Y = Rows[I + 1] < 0 ? X : Rows[I + 1];
+        Next.push_back(X < 0 ? -1
+                             : B.vbin(Op::VAdd, B.vshuffle(X, Y, Lo),
+                                      B.vshuffle(X, Y, Hi)));
+      }
+      Rows = std::move(Next);
+    }
+    return Rows[0];
+  }
+
+  /// Output rows [R0, R0 + Cnt) (1 < Cnt <= Nu) as one vector: the rows'
+  /// dot products are reduced together (reduceRows), then combined and
+  /// stored as vectors, instead of one scalar reduction, combine and store
+  /// per row -- scalars a later vector load would have to gather back.
+  void emitReducedRowGroup(int R0, int Cnt) {
+    int Acc = -1;
     for (size_t T = 0; T < Terms.size(); ++T) {
       const Term &Tm = Terms[T];
       if (termIsZero(Tm))
         continue;
       if (Tm.Mat.empty()) {
-        Combine(CoefReg[T], 1);
+        Acc = accumulate(Acc, true, B.vbroadcast(CoefReg[T]));
+        continue;
+      }
+      int V;
+      if (Tm.Mat.size() == 1) {
+        V = loadSpan(B, *Tm.Mat[0].V, Tm.Mat[0].Trans, Pos(R0), 0, Cnt,
+                     /*AlongCols=*/false);
+      } else {
+        std::vector<int> Rows(Cnt);
+        bool Any = false;
+        for (int R = 0; R < Cnt; ++R) {
+          Rows[R] = dotLanes(Tm.Mat[0], Tm.Mat[1], Pos(R0 + R), true);
+          Any |= Rows[R] >= 0;
+        }
+        if (!Any)
+          continue; // empty inner ranges: the term is zero
+        for (int &R : Rows)
+          R = R < 0 ? B.vconst(0.0) : R;
+        V = reduceRows(std::move(Rows));
+      }
+      Acc = CoefReg[T] >= 0
+                ? accumulate(Acc, true, B.vbroadcast(CoefReg[T]), 1, V)
+                : accumulate(Acc, true, V, Tm.Sign);
+    }
+    storeSpan(B, *Lhs, false, Pos(R0), 0, Cnt, /*AlongCols=*/false,
+              Acc < 0 ? B.vconst(0.0) : Acc);
+  }
+
+  void emitReducedRow(Pos R, bool Constant) {
+    int Result = -1; // scalar accumulator chain
+    for (size_t T = 0; T < Terms.size(); ++T) {
+      const Term &Tm = Terms[T];
+      if (termIsZero(Tm))
+        continue;
+      if (Tm.Mat.empty()) {
+        Result = accumulate(Result, false, CoefReg[T]);
         continue;
       }
       if (Tm.Mat.size() == 1) {
         int E = loadElem(B, *Tm.Mat[0].V, Tm.Mat[0].Trans, R, 0);
         if (CoefReg[T] >= 0)
           E = B.sbin(Op::SMul, E, CoefReg[T]);
-        Combine(E, CoefReg[T] >= 0 ? 1 : Tm.Sign);
+        Result = accumulate(Result, false, E, CoefReg[T] >= 0 ? 1 : Tm.Sign);
         continue;
       }
       const Factor &A = Tm.Mat[0], &X = Tm.Mat[1];
-      int K = A.cols();
-      int PLo = 0, PHi = K;
-      if (Constant) {
-        auto [Lo2, Hi2] =
-            nonzeroPRange(A, X, K, R.Const, R.Const + 1, 0, 1);
-        PLo = Lo2;
-        PHi = Hi2;
-      }
-      int Dot;
-      if (PHi - PLo > Opt.UnrollK * Nu) {
-        int Acc = B.vconst(0.0);
-        int Full = PLo + (PHi - PLo) / Nu * Nu;
-        int PV = B.beginLoop(PLo, Full, Nu);
-        int VA = loadSpan(B, *A.V, A.Trans, R, Pos::var(PV), Nu,
-                          /*AlongCols=*/true);
-        int VX = loadSpan(B, *X.V, X.Trans, Pos::var(PV), 0, Nu,
-                          /*AlongCols=*/false);
-        B.vfmaInto(Acc, VA, VX, Acc);
-        B.endLoop();
-        for (int P = Full; P < PHi; P += Nu) {
-          int Cnt = std::min(Nu, PHi - P);
-          int VA2 = loadSpan(B, *A.V, A.Trans, R, Pos(P), Cnt, true);
-          int VX2 = loadSpan(B, *X.V, X.Trans, Pos(P), 0, Cnt, false);
-          Acc = B.vfma(VA2, VX2, Acc);
-        }
-        Dot = B.vreduceAdd(Acc);
-      } else if (Nu > 1) {
-        int Acc = B.vconst(0.0);
-        for (int P = PLo; P < PHi; P += Nu) {
-          int Cnt = std::min(Nu, PHi - P);
-          int VA = loadSpan(B, *A.V, A.Trans, R, Pos(P), Cnt, true);
-          int VX = loadSpan(B, *X.V, X.Trans, Pos(P), 0, Cnt, false);
-          Acc = B.vfma(VA, VX, Acc);
-        }
-        Dot = B.vreduceAdd(Acc);
+      int Dot = -1;
+      if (Nu > 1) {
+        int Lanes = dotLanes(A, X, R, Constant);
+        if (Lanes >= 0)
+          Dot = B.vreduceAdd(Lanes);
       } else {
-        int Acc = B.sconst(0.0);
+        auto [PLo, PHi] = dotRange(A, X, R, Constant);
         for (int P = PLo; P < PHi; ++P) {
           int EA = loadElem(B, *A.V, A.Trans, R, Pos(P));
           int EX = loadElem(B, *X.V, X.Trans, Pos(P), 0);
-          Acc = B.sbin(Op::SAdd, Acc, B.sbin(Op::SMul, EA, EX));
+          Dot = accumulate(Dot, false, EA, 1, EX);
         }
-        Dot = Acc;
       }
+      if (Dot < 0)
+        continue; // empty inner range: the term is zero
       if (CoefReg[T] >= 0)
         Dot = B.sbin(Op::SMul, Dot, CoefReg[T]);
-      Combine(Dot, CoefReg[T] >= 0 ? 1 : Tm.Sign);
+      Result = accumulate(Result, false, Dot, CoefReg[T] >= 0 ? 1 : Tm.Sign);
     }
     if (Result < 0)
       Result = B.sconst(0.0);
@@ -541,18 +623,12 @@ private:
         if (symOutLower() && C > R)
           continue;
         int Result = -1;
-        auto Combine = [&](int Val, int Sign) {
-          if (Result < 0)
-            Result = Sign > 0 ? Val : B.sneg(Val);
-          else
-            Result = B.sbin(Sign > 0 ? Op::SAdd : Op::SSub, Result, Val);
-        };
         for (size_t T = 0; T < Terms.size(); ++T) {
           const Term &Tm = Terms[T];
           if (termIsZero(Tm))
             continue;
           if (Tm.Mat.empty()) {
-            Combine(CoefReg[T], 1);
+            Result = accumulate(Result, false, CoefReg[T]);
             continue;
           }
           int Val;
@@ -562,17 +638,19 @@ private:
             const Factor &A = Tm.Mat[0], &X = Tm.Mat[1];
             auto [PLo, PHi] = nonzeroPRange(A, X, A.cols(), R, R + 1, C,
                                             C + 1);
-            int Acc = B.sconst(0.0);
+            Val = -1;
             for (int P = PLo; P < PHi; ++P) {
               int EA = loadElem(B, *A.V, A.Trans, R, P);
               int EX = loadElem(B, *X.V, X.Trans, P, C);
-              Acc = B.sbin(Op::SAdd, Acc, B.sbin(Op::SMul, EA, EX));
+              Val = accumulate(Val, false, EA, 1, EX);
             }
-            Val = Acc;
+            if (Val < 0)
+              continue; // empty inner range: the term is zero
           }
           if (CoefReg[T] >= 0)
             Val = B.sbin(Op::SMul, Val, CoefReg[T]);
-          Combine(Val, CoefReg[T] >= 0 ? 1 : Tm.Sign);
+          Result =
+              accumulate(Result, false, Val, CoefReg[T] >= 0 ? 1 : Tm.Sign);
         }
         if (Result < 0)
           Result = B.sconst(0.0);

@@ -195,8 +195,11 @@ uint64_t slingen::optionsFingerprint(const GenOptions &O) {
   // code. v2: masked fused batch tails, FMA contraction, aligned locals.
   // v3: tuning units (suffixed candidate symbols) ship as the artifact;
   // split kernels prefix their file-scope locals. v4: the packed `vec`
-  // strategy is gone; strategies units hold only loop and fused.
-  constexpr uint64_t EmissionVersion = 4;
+  // strategy is gone; strategies units hold only loop and fused. v5:
+  // reloads of stored lanes are rebuilt in registers, lane extracts skip
+  // the stack, accumulators start at their first term, row dots are
+  // reduced in groups, and split kernels pass their locals to the parts.
+  constexpr uint64_t EmissionVersion = 5;
   Fnv1a64 H;
   H.num(EmissionVersion);
   H.str(O.Isa->Name);

@@ -10,12 +10,16 @@
 #include "cir/Verify.h"
 #include "cir/Passes.h"
 #include "expr/Program.h"
+#include "isa/ISA.h"
+#include "lgen/Tiler.h"
+#include "runtime/Jit.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <functional>
 #include <map>
+#include <regex>
 
 using namespace slingen;
 using namespace slingen::cir;
@@ -330,9 +334,199 @@ TEST(CirPasses, OptimizePreservesSemantics) {
   }
 }
 
+/// Opcode histogram over the whole function body.
+std::map<Op, int> opCounts(const Function &F) {
+  std::map<Op, int> C;
+  std::function<void(const std::vector<Node> &)> Walk =
+      [&](const std::vector<Node> &Body) {
+        for (const Node &N : Body) {
+          if (const auto *I = std::get_if<Inst>(&N))
+            ++C[I->K];
+          else
+            Walk(std::get<Loop>(N).Body);
+        }
+      };
+  Walk(F.Body);
+  return C;
+}
+
+/// Number of loads from \p Buf.
+int loadsOf(const Function &F, const Operand *Buf) {
+  int Loads = 0;
+  for (const Node &N : F.Body)
+    if (const auto *I = std::get_if<Inst>(&N))
+      Loads += (I->K == Op::SLoad || I->K == Op::VLoad ||
+                I->K == Op::VLoadStrided) &&
+               I->Address.Buf == Buf;
+  return Loads;
+}
+
+/// Interprets \p F before and after \p Pass on copies of the same inputs
+/// and expects identical outputs.
+void expectPassPreserves(Function &F, Kernel2 &K,
+                         const std::function<void(Function &)> &Pass) {
+  std::vector<double> RefA = K.ABuf, RefC = K.CBuf;
+  interpretVerified(F, {{K.A, RefA.data()}, {K.C, RefC.data()}});
+  Pass(F);
+  interpretVerified(F, K.buffers());
+  EXPECT_EQ(RefC, K.CBuf) << F.str();
+}
+
+TEST(CirPasses, StoredLanesAreRebuiltFromRegisters) {
+  // Row 0 of C is written by a 3-lane masked store plus one scalar store,
+  // column 0 by that store's lane 0 plus three scalar stores. Reloading
+  // either as a vector would wait for the stores; both are rebuilt from
+  // the producing registers (broadcasts and blends) instead.
+  Kernel2 K;
+  FuncBuilder B("k", 4);
+  int V = B.vload(B.addr(K.A, 0), 4);
+  B.vstore(B.addr(K.C, 0), B.vbin(Op::VAdd, V, V), 3);
+  for (int R = 1; R < 4; ++R) {
+    int S = B.sload(B.addr(K.A, 4 * R));
+    B.sstore(B.addr(K.C, 4 * R), B.sbin(Op::SMul, S, S));
+  }
+  B.sstore(B.addr(K.C, 3), B.sload(B.addr(K.A, 15)));
+  int Row = B.vload(B.addr(K.C, 0), 4);
+  int Col = B.vloadStrided(B.addr(K.C, 0), 4, 4);
+  B.vstore(B.addr(K.C, 8), B.vbin(Op::VSub, Row, Col), 4);
+  Function F = B.take({K.A, K.C});
+  expectPassPreserves(F, K, [](Function &G) {
+    loadStoreOpt(G);
+    dce(G);
+  });
+  EXPECT_EQ(loadsOf(F, K.C), 0) << F.str();
+  std::map<Op, int> C = opCounts(F);
+  EXPECT_GE(C[Op::VBroadcast], 3) << F.str();
+  EXPECT_GE(C[Op::VShuffle], 3) << F.str();
+}
+
+TEST(CirPasses, StridedReloadOfLoadedLanesStaysALoad) {
+  // The column's lanes sit in four scalar registers, but they came from
+  // loads: a reload waits on no store, so it stays one strided load rather
+  // than four broadcasts and three blends.
+  Kernel2 K;
+  FuncBuilder B("k", 4);
+  int Sum = B.sconst(0.0);
+  for (int R = 0; R < 4; ++R)
+    Sum = B.sbin(Op::SAdd, Sum, B.sload(B.addr(K.A, 4 * R)));
+  int Col = B.vloadStrided(B.addr(K.A, 0), 4, 4);
+  B.vstore(B.addr(K.C, 0), B.vbin(Op::VMul, Col, B.vbroadcast(Sum)), 4);
+  Function F = B.take({K.A, K.C});
+  expectPassPreserves(F, K, [](Function &G) {
+    loadStoreOpt(G);
+    dce(G);
+  });
+  std::map<Op, int> C = opCounts(F);
+  EXPECT_EQ(C[Op::VLoadStrided], 1) << F.str();
+  EXPECT_EQ(C[Op::VShuffle], 0) << F.str();
+}
+
+TEST(CirPasses, AccumulatorsStartAtTheirFirstTerm) {
+  // C = A*B + C as broadcast-FMA tiles (nu = 4), y = A*x as grouped row
+  // dots, and the scalar (nu = 1) form of both: no accumulator chain may
+  // start with `0 + x` or `fma(a, b, 0)`.
+  for (int Nu : {1, 4}) {
+    Program P;
+    Operand *A = P.addOperand("A", 4, 4);
+    Operand *Bm = P.addOperand("B", 4, 4);
+    Operand *Cm = P.addOperand("C", 4, 4);
+    Operand *X = P.addOperand("x", 4, 1);
+    Operand *Y = P.addOperand("y", 4, 1);
+    Cm->IO = IOKind::InOut;
+    Y->IO = IOKind::Out;
+    P.append({view(Cm), add(mul(view(A), view(Bm)), view(Cm))});
+    P.append({view(Y), mul(view(A), view(X))});
+    lgen::TileOptions Opt;
+    Opt.Nu = Nu;
+    FuncBuilder B("acc", Nu);
+    std::set<const Operand *> Defined = P.initiallyDefined();
+    for (const EqStmt &S : P.stmts()) {
+      classifyStmt(S, Defined);
+      lgen::compileSBlac(B, S, Opt);
+    }
+    Function F = B.take({A, Bm, Cm, X, Y});
+    optimize(F);
+    std::set<int> Zeros;
+    for (const Node &N : F.Body) {
+      const Inst &I = std::get<Inst>(N);
+      if ((I.K == Op::VConst || I.K == Op::SConst) && I.Imm == 0.0)
+        Zeros.insert(I.Dst);
+      bool Accumulates = I.K == Op::VAdd || I.K == Op::SAdd ||
+                         I.K == Op::VSub || I.K == Op::SSub ||
+                         I.K == Op::VFma;
+      EXPECT_FALSE(Accumulates && (Zeros.count(I.A) || Zeros.count(I.B) ||
+                                   Zeros.count(I.C)))
+          << "nu=" << Nu << ": " << I.str();
+    }
+    std::vector<double> Buf[5];
+    for (int O = 0; O < 5; ++O)
+      for (int E = 0; E < (O < 3 ? 16 : 4); ++E)
+        Buf[O].push_back(O == 4 ? 0.0 : 0.25 * (E % 7) - 0.5 * O);
+    std::vector<double> C0 = Buf[2];
+    interpretVerified(F, {{A, Buf[0].data()},
+                          {Bm, Buf[1].data()},
+                          {Cm, Buf[2].data()},
+                          {X, Buf[3].data()},
+                          {Y, Buf[4].data()}});
+    for (int R = 0; R < 4; ++R) {
+      double Dot = 0.0;
+      for (int P_ = 0; P_ < 4; ++P_)
+        Dot += Buf[0][R * 4 + P_] * Buf[3][P_];
+      EXPECT_NEAR(Buf[4][R], Dot, 1e-12) << "nu=" << Nu;
+      for (int Cc = 0; Cc < 4; ++Cc) {
+        double Want = C0[R * 4 + Cc];
+        for (int P_ = 0; P_ < 4; ++P_)
+          Want += Buf[0][R * 4 + P_] * Buf[1][P_ * 4 + Cc];
+        EXPECT_NEAR(Buf[2][R * 4 + Cc], Want, 1e-12) << "nu=" << Nu;
+      }
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // C emitter (textual checks; compile-and-run is covered by the JIT tests).
 //===----------------------------------------------------------------------===//
+
+TEST(CEmitter, LaneAccessesTakeNoStackTemporary) {
+  // Every lane extract and a strided store of every lane, per ISA: the
+  // lanes are reached through register moves (castpd/extractf128/
+  // extractf64x4 + unpackhi), never a store to a stack array and a reload.
+  for (const VectorISA *Isa : {&sse2Isa(), &avxIsa(), &avx512Isa()}) {
+    const int Nu = Isa->Nu;
+    Program P;
+    Operand *A = P.addOperand("A", 8, 8);
+    Operand *C = P.addOperand("C", 8, 8);
+    C->IO = IOKind::Out;
+    FuncBuilder B("lanes", Nu);
+    int V = B.vbin(Op::VMul, B.vload(B.addr(A, 0), Nu),
+                   B.vload(B.addr(A, 8), Nu));
+    for (int L = 0; L < Nu; ++L)
+      B.sstore(B.addr(C, L), B.sbin(Op::SAdd, B.vextract(V, L),
+                                    B.sload(B.addr(A, 16 + L))));
+    B.vstoreStrided(B.addr(C, 8), V, 7, Nu);
+    Function F = B.take({A, C});
+    F.ParamWritable = {false, true};
+    std::string Src = emitTranslationUnit(F);
+    EXPECT_FALSE(std::regex_search(Src, std::regex("r[0-9]+ = t[0-9]+_\\[")))
+        << Src;
+    EXPECT_EQ(Src.find("double t"), std::string::npos) << Src;
+
+    std::vector<double> In(64), Want(64, 0.0), Got(64, 0.0);
+    for (int E = 0; E < 64; ++E)
+      In[E] = 1.0 + 0.125 * E;
+    interpretVerified(F, {{A, In.data()}, {C, Want.data()}});
+    if (!runtime::haveSystemCompiler() || hostIsa().Nu < Nu)
+      continue; // the host cannot run this width
+    std::string Err;
+    runtime::CompileOptions CO;
+    CO.ExtraFlags = runtime::isaCompileFlags(*Isa);
+    auto K = runtime::JitKernel::compile(Src, "lanes", 2, CO, Err);
+    ASSERT_TRUE(K) << Err;
+    double *Bufs[] = {In.data(), Got.data()};
+    K->call(Bufs);
+    EXPECT_EQ(Got, Want) << Isa->Name;
+  }
+}
 
 TEST(CEmitter, ScalarKernelText) {
   Kernel2 K;
@@ -359,9 +553,10 @@ TEST(CEmitter, VectorKernelUsesIntrinsics) {
   int V1 = B.vload(B.addr(K.A, 0), 4);
   int V2 = B.vload(B.addr(K.A, 4), 3); // masked
   int S = B.vbin(Op::VAdd, V1, V2);
-  int Sh = B.vshuffle(S, S, {2, 3, 0, 1});
+  int Sh = B.vshuffle(S, S, {2, 3, 0, 1});  // swaps 128-bit halves
+  int Rev = B.vshuffle(S, S, {3, 2, 1, 0}); // needs a full permute
   int Bl = B.vshuffle(V1, V2, {0, 5, 2, 7});
-  int Fma = B.vfma(S, Sh, Bl);
+  int Fma = B.vfma(Rev, Sh, Bl);
   B.vstore(B.addr(K.C, 0), Fma, 4);
   B.vstore(B.addr(K.C, 8), S, 2);
   Function F = B.take({K.A, K.C});
@@ -370,6 +565,7 @@ TEST(CEmitter, VectorKernelUsesIntrinsics) {
   EXPECT_NE(C.find("_mm256_maskload_pd"), std::string::npos);
   EXPECT_NE(C.find("_mm256_maskstore_pd"), std::string::npos);
   EXPECT_NE(C.find("_mm256_permute4x64_pd"), std::string::npos);
+  EXPECT_NE(C.find("_mm256_permute2f128_pd"), std::string::npos);
   EXPECT_NE(C.find("_mm256_blend_pd"), std::string::npos);
   EXPECT_NE(C.find("_mm256_fmadd_pd"), std::string::npos);
   EXPECT_NE(C.find("mk3"), std::string::npos);
@@ -379,21 +575,6 @@ TEST(CEmitter, VectorKernelUsesIntrinsics) {
 // FMA contraction and runtime-masked lane-strided ops.
 //===----------------------------------------------------------------------===//
 
-/// Opcode histogram over the whole function body.
-std::map<Op, int> opCounts(const Function &F) {
-  std::map<Op, int> C;
-  std::function<void(const std::vector<Node> &)> Walk =
-      [&](const std::vector<Node> &Body) {
-        for (const Node &N : Body) {
-          if (const auto *I = std::get_if<Inst>(&N))
-            ++C[I->K];
-          else
-            Walk(std::get<Loop>(N).Body);
-        }
-      };
-  Walk(F.Body);
-  return C;
-}
 
 TEST(CirPasses, ContractFmaFusesMulAddAndMulSub) {
   Kernel2 K;

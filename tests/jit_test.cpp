@@ -8,6 +8,7 @@
 // when no C compiler is available.
 //===----------------------------------------------------------------------===//
 
+#include "cir/CEmitter.h"
 #include "expr/Evaluator.h"
 #include "la/Lower.h"
 #include "la/Programs.h"
@@ -19,6 +20,10 @@
 #include "TestData.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <functional>
+#include <thread>
 
 using namespace slingen;
 using namespace slingen::testdata;
@@ -200,6 +205,132 @@ TEST(Jit, MeasurementHarnessProducesStableCycles) {
   EXPECT_GT(M.Median, 0.0);
   EXPECT_LE(M.Q1, M.Median);
   EXPECT_LE(M.Median, M.Q3);
+}
+
+/// Runs \p Call(T) -- one kernel call on thread T's own buffers -- from
+/// four threads at once, many times each, and returns how many calls left
+/// outputs that fail \p Matches(T).
+int racedMismatches(const std::function<void(int)> &Call,
+                    const std::function<bool(int)> &Matches) {
+  constexpr int Threads = 4, Calls = 4000;
+  std::atomic<int> Ready{0}, Bad{0};
+  std::vector<std::thread> Pool;
+  for (int T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      ++Ready;
+      while (Ready.load() < Threads) {
+      }
+      for (int C = 0; C < Calls; ++C) {
+        Call(T);
+        Bad += !Matches(T);
+      }
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+  return Bad.load();
+}
+
+std::string splitUnit(const cir::Function &F, int MaxInstsPerPart) {
+  return "#include <math.h>\n#include <immintrin.h>\n\n" +
+         cir::emitFunctionSplit(F, MaxInstsPerPart);
+}
+
+TEST(Jit, SplitKernelIsReentrant) {
+  SKIP_WITHOUT_CC();
+  // A split gpr4 (its temporaries are tmp0/tmp1) keeps them in the entry
+  // function's frame, so one kernel shared by four threads gives each
+  // call the result it gives alone.
+  std::string Err;
+  auto P = la::compileLa(la::gprSource(4), Err);
+  ASSERT_TRUE(P) << Err;
+  Generator G(std::move(*P), hostOpts());
+  ASSERT_TRUE(G.isValid()) << G.error();
+  auto R = G.best(4);
+  ASSERT_TRUE(R);
+  const cir::Function &F = R->Func;
+  ASSERT_FALSE(F.Locals.empty());
+  std::string C = splitUnit(F, 1);
+  ASSERT_NE(C.find(F.Name + "_part1("), std::string::npos) << "not split";
+  EXPECT_EQ(C.find("static double"), std::string::npos) << C;
+  auto K = runtime::JitKernel::compile(
+      C, F.Name, static_cast<int>(F.Params.size()), Err);
+  ASSERT_TRUE(K) << Err << "\n--- source ---\n" << C;
+
+  // Per-thread inputs and the result of a call made alone.
+  std::vector<std::vector<std::vector<double>>> In(4), Out(4), Want(4);
+  std::vector<std::vector<double *>> Ptrs(4);
+  for (int T = 0; T < 4; ++T) {
+    Rng Gen(900 + T);
+    for (const Operand *Op : F.Params) {
+      std::vector<double> V(static_cast<size_t>(Op->Rows) * Op->Cols, 0.0);
+      if (Op->Name == "K")
+        V = spd(4, Gen);
+      else if (Op->Name == "X" || Op->Name == "x" || Op->Name == "y")
+        V = general(Op->Rows, Op->Cols, Gen);
+      In[T].push_back(V);
+    }
+    Out[T] = In[T];
+    for (auto &V : Out[T])
+      Ptrs[T].push_back(V.data());
+    K->call(Ptrs[T].data());
+    Want[T] = Out[T];
+  }
+  int Bad = racedMismatches(
+      [&](int T) {
+        for (size_t I = 0; I < In[T].size(); ++I)
+          std::copy(In[T][I].begin(), In[T][I].end(), Out[T][I].begin());
+        K->call(Ptrs[T].data());
+      },
+      [&](int T) { return Out[T] == Want[T]; });
+  EXPECT_EQ(Bad, 0);
+}
+
+TEST(Jit, SplitKernelPartsShareOnlyTheirCallsTemporaries) {
+  SKIP_WITHOUT_CC();
+  // T = 2A in one part, C = T + A in the next: the temporary carries data
+  // across the split. If the parts shared one T between concurrent calls,
+  // a call would read another thread's doubled A.
+  constexpr int N = 64;
+  Program Prog;
+  Operand *A = Prog.addOperand("A", N, 1);
+  Operand *Cv = Prog.addOperand("C", N, 1);
+  Operand *T = Prog.addOperand("T", N, 1);
+  cir::FuncBuilder B("carry", 1);
+  int Two = B.sconst(2.0);
+  int I0 = B.beginLoop(0, N, 1);
+  B.sstore(B.addr(T, 0, {{I0, 1}}),
+           B.sbin(cir::Op::SMul, B.sload(B.addr(A, 0, {{I0, 1}})), Two));
+  B.endLoop();
+  int I1 = B.beginLoop(0, N, 1);
+  B.sstore(B.addr(Cv, 0, {{I1, 1}}),
+           B.sbin(cir::Op::SAdd, B.sload(B.addr(T, 0, {{I1, 1}})),
+                  B.sload(B.addr(A, 0, {{I1, 1}}))));
+  B.endLoop();
+  cir::Function F = B.take({A, Cv});
+  F.ParamWritable = {false, true};
+  F.Locals = {T};
+  std::string C = splitUnit(F, 1);
+  ASSERT_NE(C.find("carry_part1("), std::string::npos) << "not split";
+  std::string Err;
+  auto K = runtime::JitKernel::compile(C, "carry", 2, Err);
+  ASSERT_TRUE(K) << Err << "\n--- source ---\n" << C;
+
+  std::vector<std::vector<double>> AIn(4), COut(4, std::vector<double>(N));
+  for (int Th = 0; Th < 4; ++Th)
+    for (int E = 0; E < N; ++E)
+      AIn[Th].push_back(1000.0 * Th + E);
+  int Bad = racedMismatches(
+      [&](int Th) {
+        double *Bufs[] = {AIn[Th].data(), COut[Th].data()};
+        K->call(Bufs);
+      },
+      [&](int Th) {
+        for (int E = 0; E < N; ++E)
+          if (COut[Th][E] != 3.0 * AIn[Th][E])
+            return false;
+        return true;
+      });
+  EXPECT_EQ(Bad, 0);
 }
 
 TEST(Jit, CompileErrorIsReported) {

@@ -25,10 +25,11 @@ using namespace slingen::testdata;
 namespace {
 
 /// Runs one statement through (a) the dense evaluator and (b) the tiler +
-/// interpreter, and compares all writable operand buffers.
-void checkStmt(Program &P, std::map<const Operand *, std::vector<double>>
-                               Inputs,
-               int Nu, int UnrollTiles = 32, double Tol = 1e-11) {
+/// interpreter, and compares all writable operand buffers. Returns the
+/// tiled function.
+cir::Function
+checkStmt(Program &P, std::map<const Operand *, std::vector<double>> Inputs,
+          int Nu, int UnrollTiles = 32, double Tol = 1e-11) {
   // Evaluator reference.
   Env RefEnv;
   for (auto &[Op, Data] : Inputs)
@@ -79,6 +80,7 @@ void checkStmt(Program &P, std::map<const Operand *, std::vector<double>>
                             << "\n"
                             << F.str();
   }
+  return F;
 }
 
 class TilerWidths : public ::testing::TestWithParam<int> {};
@@ -270,6 +272,34 @@ TEST_P(TilerWidths, SubViewStatement) {
   P.append({SBr, sub(SBr, mul(trans(Panel), Panel))});
   Rng R(37);
   checkStmt(P, {{S, general(N, N, R)}, {U, general(N, N, R)}}, Nu);
+}
+
+TEST_P(TilerWidths, RaggedRowGroupsAndLongDots) {
+  int Nu = GetParam();
+  // 7 rows leave a ragged last row group (a single row for nu = 2); 40
+  // inner elements exceed the unrolled reduction length, so the dots run as
+  // loops -- which must stay scalar code at nu = 1.
+  int M = 7, N = 40;
+  Program P;
+  Operand *A = P.addOperand("A", M, N);
+  Operand *X = P.addOperand("x", N, 1);
+  Operand *Z = P.addOperand("z", M, 1);
+  Operand *Y = P.addOperand("y", M, 1);
+  Operand *D = P.addOperand("d", 1, 1);
+  Y->IO = IOKind::Out;
+  D->IO = IOKind::Out;
+  // y = z - 2 A x; d = x^T x.
+  P.append({view(Y), sub(view(Z), mul(constant(2.0), mul(view(A), view(X))))});
+  P.append({view(D), mul(trans(view(X)), view(X))});
+  Rng R(41);
+  cir::Function F = checkStmt(P,
+                              {{A, general(M, N, R)},
+                               {X, general(N, 1, R)},
+                               {Z, general(M, 1, R)}},
+                              Nu, 32, 1e-10);
+  if (Nu == 1)
+    for (bool Vec : F.RegIsVec)
+      EXPECT_FALSE(Vec) << F.str();
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, TilerWidths, ::testing::Values(1, 2, 4));

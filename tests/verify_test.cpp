@@ -576,11 +576,13 @@ TEST(VerifyMutation, FusedBlockStrideEscapesBlock) {
 }
 
 TEST(VerifyMutation, FusedBlockMisalignedLocal) {
-  auto E = potrfEmissions();
-  ASSERT_TRUE(E);
-  // potrf carries compiler temporaries, which stay interleaved in the
-  // fused block; knock one contiguous local access off the Nu-element
+  // The Kalman filter at state 12 keeps loops that read its compiler
+  // temporaries, which stay interleaved in the fused block (the small
+  // kernels' temporaries are write-only, and the load/store pass deletes
+  // those stores); knock one contiguous local access off the Nu-element
   // grid the widener guarantees.
+  auto E = emitAll(la::kalmanSource(12, 12), "vk");
+  ASSERT_TRUE(E);
   bool Mutated = false;
   for (Inst *I : insts(E->FusedBlk.Func)) {
     if (!(I->K == Op::VLoad || I->K == Op::VStore) || !I->Address.Buf)

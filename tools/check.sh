@@ -79,6 +79,9 @@ for LA in "$ROOT"/examples/*.la; do
   echo "-- slc $(basename "$LA")"
   "$BUILD/slc" -isa avx "$LA" > "$SMOKE_OUT"
   grep -q "immintrin.h" "$SMOKE_OUT"
+  # Lane extracts are register moves, never a spill to a stack temporary
+  # and a reload of one lane (`rN = tN_[lane]`).
+  refute 'r[0-9][0-9]* = t[0-9][0-9]*_\['
   "$BUILD/slc" -batch -cache-dir "$SMOKE_CACHE" "$LA" > "$SMOKE_OUT"
   grep -q "_batch(int count" "$SMOKE_OUT"
   # Second run must serve the identical kernel from the disk cache.
@@ -103,8 +106,12 @@ for LA in "$ROOT"/examples/*.la; do
   grep -q "_batch(int count" "$SMOKE_OUT"
   # The C-IR static verifier must accept every emission -- the scalar
   # function, its scalar recompile and both widened batch kernels (exit is
-  # non-zero on any rejection; the per-emission report lands on stderr).
-  "$BUILD/slc" -verify-ir -batch -isa avx "$LA" > /dev/null
+  # non-zero on any rejection; the per-emission report lands on stderr) --
+  # at every vector width: the load/store pass builds its shuffle chains
+  # per width.
+  for ISA in sse2 avx avx512; do
+    "$BUILD/slc" -verify-ir -batch -isa "$ISA" "$LA" > /dev/null
+  done
 done
 
 echo "== threaded-batch smoke =="
